@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.host.costs import CAT
-from repro.apps.workload import Request, RequestKind, WorkloadConfig, requests
+from repro.apps.workload import (Request, RequestKind, WorkloadConfig,
+                                 pattern_bytes, requests)
 from repro.schemes.base import Scheme
 from repro.sim.resources import Store
 from repro.sim.stats import Histogram
@@ -78,7 +79,7 @@ def run_swift(scheme: Scheme, config: SwiftConfig) -> SwiftRun:
         if request.kind is RequestKind.GET and request.size not in get_names:
             name = f"swift-get-{request.size}.dat"
             server.host.install_file(
-                name, bytes((i * 31) % 256 for i in range(request.size)))
+                name, pattern_bytes(request.size, 31))
             get_names[request.size] = name
     put_names: List[str] = []
     for index in range(config.connections):

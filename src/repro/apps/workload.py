@@ -77,3 +77,14 @@ def bytes_by_kind(reqs: Iterator[Request]) -> dict:
     for request in reqs:
         totals[request.kind] += request.size
     return totals
+
+
+def pattern_bytes(size: int, step: int, offset: int = 0) -> bytes:
+    """``size`` bytes whose byte ``i`` is ``(i * step + offset) % 256``.
+
+    The pattern repeats every 256 bytes, so it is built from one period
+    and sized exactly: no per-byte loop, and no larger buffer to slice.
+    """
+    period = bytes((i * step + offset) % 256 for i in range(256))
+    whole, rest = divmod(size, 256)
+    return period * whole + period[:rest]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.algos import DIGESTS
 from repro.analysis.breakdown import NULL_TRACE
 from repro.devices.nvme.commands import LBA_SIZE
 from repro.errors import ConfigurationError, ProtocolError
@@ -244,17 +245,20 @@ class HostKernel:
 
     def cpu_checksum(self, kind: str, buf_addr: int, size: int,
                      trace=NULL_TRACE):
-        """Process: checksum ``size`` bytes on a CPU core; returns digest."""
-        from repro.algos import crc32_digest, md5_digest
+        """Process: checksum ``size`` bytes on a CPU core; returns digest.
+
+        ``kind`` must be a digest with a calibrated CPU rate; anything
+        else raises :class:`ConfigurationError` before any CPU time.
+        """
+        try:
+            digest = DIGESTS[kind]
+            cost = self.costs.cpu_hash_cost(kind, size)
+        except (KeyError, ValueError):
+            raise ConfigurationError(
+                f"unsupported CPU checksum {kind!r}") from None
         with trace.span(CAT.HASH):
-            yield from self.cpu.run(self.costs.cpu_hash_cost(kind, size),
-                                    CAT.HASH)
-        data = self.fabric.address_map.read(buf_addr, size)
-        if kind == "md5":
-            return md5_digest(data)
-        if kind == "crc32":
-            return crc32_digest(data)
-        raise ConfigurationError(f"unsupported CPU checksum {kind!r}")
+            yield from self.cpu.run(cost, CAT.HASH)
+        return digest(self.fabric.address_map.read(buf_addr, size))
 
 
 def _block_align(size: int) -> int:

@@ -32,9 +32,8 @@ def checksum16(data: bytes) -> int:
     """RFC 1071 ones-complement 16-bit checksum."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 

@@ -1,5 +1,8 @@
 """Shared fixtures: a minimal fabric with host memory for device tests."""
 
+import hashlib
+import zlib
+
 import pytest
 
 from repro.memory import MemoryRegion
@@ -16,6 +19,15 @@ NIC2_BAR = 0x8200_0000
 GPU_BAR = 0x9000_0000
 ENGINE_BAR = 0xA000_0000
 ENGINE_DDR_BASE = 0xC000_0000
+
+# Reference digests for every integrity function the devices offer; CRC32
+# is stored big-endian, as HDFS does.
+STDLIB_DIGESTS = {
+    "md5": lambda data: hashlib.md5(data).digest(),
+    "sha1": lambda data: hashlib.sha1(data).digest(),
+    "sha256": lambda data: hashlib.sha256(data).digest(),
+    "crc32": lambda data: zlib.crc32(data).to_bytes(4, "big"),
+}
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import (HdfsConfig, SwiftConfig, WorkloadConfig,
                         run_hdfs_balancer, run_swift, requests)
-from repro.apps.workload import RequestKind, bytes_by_kind
+from repro.apps.workload import RequestKind, bytes_by_kind, pattern_bytes
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.units import KIB, MIB
 
@@ -59,6 +59,16 @@ class TestWorkload:
         totals = bytes_by_kind(iter(reqs))
         assert totals[RequestKind.GET] + totals[RequestKind.PUT] == sum(
             r.size for r in reqs)
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, MIB, MIB + 3])
+    def test_pattern_bytes_match_per_byte_builders(self, size):
+        # Swift GET objects and HDFS source blocks (indices 0-3), against
+        # the per-byte expressions the apps used to build them with.
+        assert pattern_bytes(size, 31) == bytes(
+            (i * 31) % 256 for i in range(size))
+        for index in range(4):
+            assert pattern_bytes(size, 17, index) == bytes(
+                (i * 17 + index) % 256 for i in range(size))
 
 
 SMALL_SWIFT = SwiftConfig(

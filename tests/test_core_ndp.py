@@ -1,8 +1,5 @@
 """Tests for NDP units, the function registry and the resource model."""
 
-import hashlib
-import zlib
-
 import pytest
 
 from repro.algos import aes256_ctr, lz77_decompress
@@ -15,6 +12,8 @@ from repro.memory import MemoryRegion
 from repro.pcie import Fabric, LINK_GEN2_X8
 from repro.sim import Simulator
 from repro.units import KIB, MIB, usec
+
+from tests.conftest import STDLIB_DIGESTS
 
 
 @pytest.fixture
@@ -83,18 +82,13 @@ class TestNdpUnits:
 
         return sim.run(until=sim.process(body(sim)))
 
-    def test_md5_matches_hashlib(self, sim, fabric):
+    @pytest.mark.parametrize("name", sorted(STDLIB_DIGESTS))
+    def test_digest_matches_stdlib(self, sim, fabric, name):
         bank = NdpBank(sim)
-        data = b"ndp checksum input" * 50
-        result = self._run(sim, fabric, bank, FUNC_MD5, data)
-        assert result.digest == hashlib.md5(data).digest()
+        data = bytes(range(256)) * 16 + b"ndp checksum input"
+        result = self._run(sim, fabric, bank, func_id(name), data)
+        assert result.digest == STDLIB_DIGESTS[name](data)
         assert result.output_length == len(data)
-
-    def test_crc32_matches_zlib(self, sim, fabric):
-        bank = NdpBank(sim)
-        data = bytes(range(256)) * 16
-        result = self._run(sim, fabric, bank, FUNC_CRC32, data)
-        assert int.from_bytes(result.digest, "big") == zlib.crc32(data)
 
     def test_aes_transforms_in_place(self, sim, fabric):
         bank = NdpBank(sim)

@@ -1,7 +1,6 @@
 """Tests for the GPU model: copy engines, kernels, peer DMA into GPU memory."""
 
 import hashlib
-import zlib
 
 import pytest
 
@@ -9,7 +8,7 @@ from repro.devices.gpu import Gpu, TESLA_K20M
 from repro.errors import DeviceError
 from repro.units import KIB, usec
 
-from tests.conftest import GPU_BAR
+from tests.conftest import GPU_BAR, STDLIB_DIGESTS
 
 SRC = 0x60_0000
 DST = 0x61_0000
@@ -67,15 +66,11 @@ class TestKernels:
 
         return sim.run(until=sim.process(body(sim)))
 
-    def test_md5_matches_hashlib(self, sim, fabric, gpu):
+    @pytest.mark.parametrize("kernel", sorted(STDLIB_DIGESTS))
+    def test_digest_matches_stdlib(self, sim, fabric, gpu, kernel):
         data = b"gpu checksum input" * 100
-        digest = self._run_kernel(sim, fabric, gpu, "md5", data)
-        assert digest == hashlib.md5(data).digest()
-
-    def test_crc32_matches_zlib(self, sim, fabric, gpu):
-        data = b"hdfs block" * 500
-        digest = self._run_kernel(sim, fabric, gpu, "crc32", data)
-        assert int.from_bytes(digest, "big") == zlib.crc32(data)
+        digest = self._run_kernel(sim, fabric, gpu, kernel, data)
+        assert digest == STDLIB_DIGESTS[kernel](data)
 
     def test_digest_lands_in_gpu_memory(self, sim, fabric, gpu):
         data = b"x" * 4096

@@ -230,6 +230,19 @@ class TestHostStorage:
         digest = sim.run(until=sim.process(body(sim)))
         assert digest == hashlib.md5(data).digest()
 
+    @pytest.mark.parametrize("kind", ["sha1", "blake3"])
+    def test_cpu_checksum_unsupported_kind_uses_no_cpu(self, sim, kind):
+        # sha1 has a digest but no calibrated CPU rate; blake3 has neither.
+        host = Host(sim, with_gpu=False)
+        buf = host.alloc_buffer(4 * KIB)
+
+        def body(sim):
+            yield from host.kernel.cpu_checksum(kind, buf, 4 * KIB)
+
+        with pytest.raises(ConfigurationError, match=kind):
+            sim.run(until=sim.process(body(sim)))
+        assert host.cpu.tracker.total() == 0
+
 
 class TestHostNetwork:
     def _linked_hosts(self, sim):

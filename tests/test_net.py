@@ -1,5 +1,7 @@
 """Tests for headers, frames, LSO segmentation, flows and the wire."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +33,45 @@ class TestChecksum:
     def test_checksum_of_data_plus_checksum_is_zero(self):
         data = b"some header bytes!"
         csum = checksum16(data)
-        import struct
         assert checksum16(data + struct.pack("!H", csum)) == 0
 
     def test_odd_length_padded(self):
         assert checksum16(b"\xff") == checksum16(b"\xff\x00")
+
+    @staticmethod
+    def _fold_per_word(data: bytes) -> int:
+        """Reference: fold the carry after every 16-bit word."""
+        if len(data) % 2:
+            data += b"\x00"
+        total = 0
+        for (word,) in struct.iter_unpack("!H", data):
+            total += word
+            total = (total & 0xFFFF) + (total >> 16)
+        return (~total) & 0xFFFF
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=3001),
+        # Carry-heavy: runs of 0xFF, whose word sums are multiples of
+        # 0xFFFF, with an optional odd tail byte.
+        st.builds(lambda n, tail: b"\xff" * n + tail,
+                  st.integers(0, 3000), st.sampled_from([b"", b"\x01",
+                                                         b"\xff"]))))
+    def test_matches_fold_per_word_reference(self, data):
+        assert checksum16(data) == self._fold_per_word(data)
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x00", b"\xff", b"\xff" * 4, b"\xff" * 65537 * 2,
+        b"\x00\x01" * 65535,
+    ], ids=["empty", "zero", "odd-ff", "ff-words", "ff-65537-words",
+            "sum-0xffff"])
+    def test_edge_inputs_match_reference(self, data):
+        assert checksum16(data) == self._fold_per_word(data)
+
+    def test_packed_ipv4_header_checksums_to_zero(self):
+        header = Ipv4Header(src_ip="10.0.0.1", dst_ip="10.0.0.2",
+                            total_length=1500, ident=0xFFFF)
+        assert checksum16(header.pack()) == 0
 
 
 class TestHeaders:
