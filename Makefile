@@ -42,5 +42,6 @@ perfbench-selftest: ## the benchmark's own self-tests (perfbench/README.md)
 	$(PYTHON) perfbench/selftest.py
 
 clean:
-	rm -rf .pytest_cache .hypothesis trace.json metrics-a.csv metrics-b.csv
+	rm -rf .pytest_cache .hypothesis trace.json metrics.csv metrics-a.csv \
+	    metrics-b.csv
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 
 from repro.experiments import (run_faults, run_fig11, run_fig12_hdfs,
                                run_fig12_swift, run_fig13,
@@ -117,11 +118,10 @@ def main(argv: list[str]) -> int:
     session = TraceSession(label="experiments") if tracing else None
     sampling = opts.metrics is not None or opts.metrics_jsonl is not None
     metrics = MetricsSession(label="experiments") if sampling else None
-    if session is not None:
-        session.install()
-    if metrics is not None:
-        metrics.install()
-    try:
+    with ExitStack() as stack:
+        for plane in (session, metrics):
+            if plane is not None:
+                stack.enter_context(plane)
         for slug in slugs:
             label, runner, _ = EXPERIMENTS[slug]
             start = time.time()
@@ -129,13 +129,6 @@ def main(argv: list[str]) -> int:
                 result = runner()
             print(result.render())
             print(f"[{label} regenerated in {time.time() - start:.1f}s]\n")
-    finally:
-        if session is not None:
-            session.uninstall()
-            session.finalize()
-        if metrics is not None:
-            metrics.uninstall()
-            metrics.finalize()
     if session is not None:
         if opts.trace is not None:
             count = write_chrome(opts.trace, session)

@@ -367,6 +367,13 @@ class MetricSet:
                 items = ((entry, entry.sample_value()),)
             else:
                 items = entry.sample_items()
+                # Polled series are only ever read here: store the sample
+                # so the metric (and sim-top) reports what was exported.
+                for metric, value in items:
+                    if isinstance(metric, Gauge):
+                        metric.set(value)
+                    else:
+                        metric.value = value
             for metric, value in items:
                 if metric._last_time == tick:
                     continue

@@ -18,9 +18,8 @@ import heapq
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.metrics.session import metrics_for_new_sim
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.trace.tracer import tracer_for_new_sim
+from repro.sim.session import attach
 
 
 class Process(Event):
@@ -121,19 +120,18 @@ class Simulator:
         self._sequence: int = 0
         self._event_count: int = 0
         self._active: bool = False
-        # None unless a repro.trace.TraceSession is installed — every
-        # instrumentation site guards on this, so tracing costs one
-        # attribute check when off.
-        self.tracer = tracer_for_new_sim(self)
-        # None unless a repro.faults.FaultPlan is installed; like the
-        # tracer, every injection site guards with one `is not None`
-        # check, so the fault-free hot path pays a single branch.
+        # None unless a repro.faults.FaultPlan is installed; every
+        # injection site guards with one `is not None` check, so the
+        # fault-free hot path pays a single branch.
         self.faults = None
-        # None unless a repro.metrics.MetricsSession is installed.
-        # Sampling is driven from step() (see below) rather than by
+        # self.tracer and self.metrics: a recorder from the installed
+        # repro.trace.TraceSession / repro.metrics.MetricsSession, else
+        # None (see repro.sim.session) — every instrumentation site
+        # guards on them, so an off plane costs one attribute check.
+        # Metrics sampling is driven from step() rather than by
         # scheduled events, so the metrics plane can never perturb
         # event order or keep a drain-mode run() alive.
-        self.metrics = metrics_for_new_sim(self)
+        attach(self)
 
     # -- event construction ---------------------------------------------
 

@@ -12,13 +12,12 @@ from repro.trace.events import (EVENT_TYPES, event_type_names,
 from repro.trace.export import (jsonl_lines, to_chrome, write_chrome,
                                 write_jsonl)
 from repro.trace.tracer import (Span, TraceEvent, Tracer, TraceSession,
-                                current_session, trace_section,
-                                tracer_for_new_sim)
+                                trace_section)
 
 __all__ = [
     "EVENT_TYPES", "is_registered", "event_type_names",
     "Span", "TraceEvent", "Tracer", "TraceSession",
-    "current_session", "trace_section", "tracer_for_new_sim",
+    "trace_section",
     "jsonl_lines", "to_chrome", "write_chrome", "write_jsonl",
     "RequestBreakdown", "request_breakdowns", "last_breakdown",
 ]

@@ -1,7 +1,10 @@
-"""Shared fixtures: a minimal fabric with host memory for device tests."""
+"""Shared fixtures: a minimal fabric with host memory for device tests,
+plus the doc-heading parser behind the docs-contract tests."""
 
 import hashlib
+import re
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,18 @@ STDLIB_DIGESTS = {
     "sha256": lambda data: hashlib.sha256(data).digest(),
     "crc32": lambda data: zlib.crc32(data).to_bytes(4, "big"),
 }
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def doc_headings(doc: str, id_pattern: str) -> list[tuple[str, str]]:
+    """(id, rest-of-line) for each '### `id`' heading of ``docs/<doc>``
+    whose id matches ``id_pattern`` -- the sections a docs-contract test
+    holds in lock-step with a registry."""
+    heading = re.compile(rf"^###\s+`({id_pattern})`(.*)$", re.MULTILINE)
+    text = (REPO_ROOT / "docs" / doc).read_text(encoding="utf-8")
+    return [(found, rest.strip()) for found, rest in heading.findall(text)]
 
 
 @pytest.fixture

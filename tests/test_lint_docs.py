@@ -5,21 +5,13 @@ tests/test_trace_docs.py: every registered rule has a '### `RULEID`'
 section, every documented rule id is registered, no duplicates.
 """
 
-import re
-from pathlib import Path
-
 from repro.lint import rule_classes, rule_ids
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_MD = REPO_ROOT / "docs" / "lint.md"
-
-_HEADING = re.compile(r"^###\s+`([A-Z]+[0-9]+)`(.*)$", re.MULTILINE)
+from tests.conftest import doc_headings
 
 
 def _documented() -> list[tuple[str, str]]:
     """(rule id, rest-of-heading-line) for each doc section."""
-    return [(rule_id, rest.strip()) for rule_id, rest
-            in _HEADING.findall(LINT_MD.read_text(encoding="utf-8"))]
+    return doc_headings("lint.md", r"[A-Z]+[0-9]+")
 
 
 class TestContract:

@@ -5,10 +5,11 @@ import pytest
 from repro.errors import MetricsError
 from repro.experiments.common import measure_send
 from repro.metrics import (DEFAULT_INTERVAL_NS, MetricsSession, csv_lines,
-                           current_metrics_session, format_labels)
+                           format_labels)
 from repro.schemes import (DcsCtrlScheme, IntegratedScheme, SwOptScheme,
                            SwP2pScheme)
 from repro.sim.kernel import Simulator
+from repro.sim.session import installed
 from repro.units import usec
 
 
@@ -21,7 +22,7 @@ def _fresh(interval_ns: int = usec(1)):
 
 class TestInstruments:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed(MetricsSession)
         if session is not None:
             session.uninstall()
 
@@ -88,7 +89,7 @@ class TestInstruments:
 
 class TestCatalogContract:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed(MetricsSession)
         if session is not None:
             session.uninstall()
 
@@ -126,7 +127,7 @@ class TestCatalogContract:
 
 class TestSampling:
     def teardown_method(self):
-        session = current_metrics_session()
+        session = installed(MetricsSession)
         if session is not None:
             session.uninstall()
 
@@ -205,7 +206,7 @@ class TestSampling:
 
 class TestZeroOverheadOff:
     def test_no_session_means_no_metrics_object(self):
-        assert current_metrics_session() is None
+        assert installed(MetricsSession) is None
         assert Simulator().metrics is None
 
     def test_uninstall_restores_off_state(self):

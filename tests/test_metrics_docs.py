@@ -3,21 +3,14 @@
 Run via ``make docs-check`` (or as part of the normal suite).
 """
 
-import re
-from pathlib import Path
-
 from repro.experiments.common import measure_send
 from repro.metrics import KINDS, METRICS, MetricsSession
 from repro.schemes import DcsCtrlScheme
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-METRICS_MD = REPO_ROOT / "docs" / "metrics.md"
-
-_HEADING = re.compile(r"^###\s+`([a-z0-9_.-]+)`", re.MULTILINE)
+from tests.conftest import doc_headings
 
 
 def _documented_names() -> list[str]:
-    return _HEADING.findall(METRICS_MD.read_text(encoding="utf-8"))
+    return [name for name, _ in doc_headings("metrics.md", r"[a-z0-9_.-]+")]
 
 
 class TestContract:

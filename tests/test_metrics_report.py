@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.metrics import MetricsSession, aggregate, render_top
+from repro.experiments.common import measure_send
+from repro.metrics import MetricsSession, aggregate, csv_lines, render_top
 from repro.schemes import DcsCtrlScheme
 from repro.sim.kernel import Simulator
 
@@ -71,7 +72,6 @@ class TestSimTop:
 
     def test_live_run_renders_without_error_and_sorted(self):
         with MetricsSession(label="live") as session:
-            from repro.experiments.common import measure_send
             measure_send(DcsCtrlScheme, None)
         out = render_top(session)
         lines = out.splitlines()
@@ -104,3 +104,27 @@ class TestSimTop:
         rows = aggregate(session)
         assert len(rows) == 1
         assert rows[0].total == pytest.approx(sum(totals))
+
+    def test_polled_series_cells_match_final_csv_values(self):
+        # A report cell summarizes the exported data: per simulator, each
+        # counter's total and each gauge's last value equal the series'
+        # final CSV value -- including polled series, which never see an
+        # inc()/set() from the model.
+        with MetricsSession(label="truth") as session:
+            measure_send(DcsCtrlScheme, "md5")
+        checked = set()
+        for metric_set in session.sets:
+            final = {}
+            for line in list(csv_lines(metric_set))[1:]:
+                head, value = line.rsplit(",", 1)
+                _, _, name, labels = head.split(",", 3)
+                final[(name, labels)] = value
+            for agg in aggregate(metric_set):
+                _, kind, _, _, last, total = agg.cells()
+                if kind in ("counter", "gauge"):
+                    cell = total if kind == "counter" else last
+                    assert cell == final[(agg.name, agg.labels)], agg.resource
+                    checked.add(agg.name)
+        assert {"engine.scoreboard_issued", "engine.ddr3_bytes_in_use",
+                "nvme.commands", "host.cpu.busy_ns",
+                "host.cpu.util"} <= checked

@@ -8,9 +8,10 @@ from repro.errors import TraceError
 from repro.experiments.common import measure_send
 from repro.schemes import DcsCtrlScheme, SwOptScheme
 from repro.sim import Simulator
-from repro.trace import (EVENT_TYPES, TraceSession, Tracer, current_session,
-                         jsonl_lines, last_breakdown, request_breakdowns,
-                         to_chrome, trace_section, tracer_for_new_sim)
+from repro.sim.session import installed
+from repro.trace import (EVENT_TYPES, TraceSession, Tracer, jsonl_lines,
+                         last_breakdown, request_breakdowns, to_chrome,
+                         trace_section)
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ class TestSession:
             assert sim.tracer is not None
             assert sim.tracer in session.tracers
         assert Simulator().tracer is None
-        assert current_session() is None
+        assert installed(TraceSession) is None
 
     def test_nested_install_rejected(self):
         with TraceSession():
@@ -105,12 +106,12 @@ class TestSession:
             sim2 = Simulator()
         assert sim.tracer.label.startswith("inner/")
         assert sim2.tracer.label.startswith("outer/")
-        assert session is not current_session()
+        assert session is not installed(TraceSession)
 
     def test_trace_section_noop_when_off(self):
         with trace_section("ignored"):
             assert Simulator().tracer is None
-        assert tracer_for_new_sim(Simulator()) is None
+        assert installed(TraceSession) is None
 
 
 class TestExport:

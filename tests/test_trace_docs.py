@@ -3,21 +3,14 @@
 Run via ``make docs-check`` (or as part of the normal suite).
 """
 
-import re
-from pathlib import Path
-
 from repro.experiments.common import measure_send
 from repro.schemes import DcsCtrlScheme
 from repro.trace import EVENT_TYPES, TraceSession, is_registered
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRACING_MD = REPO_ROOT / "docs" / "tracing.md"
-
-_HEADING = re.compile(r"^###\s+`([a-z0-9_.-]+)`", re.MULTILINE)
+from tests.conftest import doc_headings
 
 
 def _documented_types() -> list[str]:
-    return _HEADING.findall(TRACING_MD.read_text(encoding="utf-8"))
+    return [name for name, _ in doc_headings("tracing.md", r"[a-z0-9_.-]+")]
 
 
 class TestContract:
