@@ -36,7 +36,7 @@ docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	    tests/test_lint_docs.py
 
 lint:            ## simlint: determinism/scheduling/plane-contract rules
-	$(PYTHON) -m repro.lint src tests
+	$(PYTHON) -m repro.lint src tests examples benchmarks
 
 perfbench-selftest: ## the benchmark's own self-tests (perfbench/README.md)
 	$(PYTHON) perfbench/selftest.py

@@ -147,25 +147,3 @@ def run_swift(scheme: Scheme, config: SwiftConfig) -> SwiftRun:
     stats.server_cpu = server.host.cpu.utilization_by_category()
     return stats
 
-
-def run_swift_split(scheme: Scheme, config: SwiftConfig
-                    ) -> tuple[SwiftRun, SwiftRun]:
-    """Run a GET-only and a PUT-only workload (paper Fig 12a's
-    Kernel(GET)/Kernel(PUT) split) on fresh connections."""
-    get_cfg = SwiftConfig(
-        workload=WorkloadConfig(
-            arrival_rate=config.workload.arrival_rate,
-            put_ratio=0.0, max_object=config.workload.max_object,
-            count=config.workload.count, seed=config.workload.seed),
-        connections=config.connections, request_cpu=config.request_cpu,
-        integrity=config.integrity)
-    put_cfg = SwiftConfig(
-        workload=WorkloadConfig(
-            arrival_rate=config.workload.arrival_rate,
-            put_ratio=1.0, max_object=config.workload.max_object,
-            count=config.workload.count, seed=config.workload.seed + 1),
-        connections=config.connections, request_cpu=config.request_cpu,
-        integrity=config.integrity)
-    get_run = run_swift(scheme, get_cfg)
-    put_run = run_swift(scheme, put_cfg)
-    return get_run, put_run

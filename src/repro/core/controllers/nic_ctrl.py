@@ -193,7 +193,7 @@ class EngineNicController(Executor):
                 if sent < entry.length and len(inflight) < self.SEND_WINDOW:
                     batch = min(self.max_batch, entry.length - sent)
                     yield self.sim.timeout(HEADER_GEN)
-                    header = self._build_header(state, batch)
+                    header = state.flow.lso_header(batch)
                     hdr_slot = self._next_tx_hdr_slot()
                     self.fabric.address_map.write(hdr_slot, header)
                     index = self.send_ring.push(SendDescriptor(
@@ -238,16 +238,6 @@ class EngineNicController(Executor):
         slot = self._tx_hdr_area + self._tx_hdr_cursor * 64
         self._tx_hdr_cursor = (self._tx_hdr_cursor + 1) % 64
         return slot
-
-    def _build_header(self, state: _FlowState, payload_len: int) -> bytes:
-        flow = state.flow
-        header = (flow.eth_header().pack()
-                  + Ipv4Header(src_ip=flow.local.ip, dst_ip=flow.remote.ip,
-                               total_length=40).pack()
-                  + flow.next_header(payload_len).pack(
-                      flow.local.ip, flow.remote.ip, b""))
-        assert len(header) == HEADER_LEN
-        return header
 
     def _on_tx_status(self) -> None:
         consumed = self.send_ring.consumer_index()

@@ -23,8 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.host.drivers.nic_driver import HostNicDriver
     from repro.host.drivers.nvme_driver import HostNvmeDriver
 from repro.host.kernel.page_cache import PageCache
-from repro.net.headers import Ipv4Header
-from repro.net.packet import Frame, HEADER_LEN, TCP_MSS
+from repro.net.packet import Frame, TCP_MSS
 from repro.net.tcp import FlowTable, TcpFlow
 from repro.pcie.switch import Fabric
 from repro.sim.kernel import Simulator
@@ -174,16 +173,6 @@ class HostKernel:
         if payload:
             self._streams[flow.uid].append(payload)
 
-    def _build_header(self, flow: TcpFlow, payload_len: int) -> bytes:
-        """The LSO header template for the next send on ``flow``."""
-        header = (flow.eth_header().pack()
-                  + Ipv4Header(src_ip=flow.local.ip, dst_ip=flow.remote.ip,
-                               total_length=40).pack()
-                  + flow.next_header(payload_len).pack(
-                      flow.local.ip, flow.remote.ip, b""))
-        assert len(header) == HEADER_LEN
-        return header
-
     def socket_send(self, flow: TcpFlow, payload_addr: int, size: int,
                     trace=NULL_TRACE, copy_from_user: bool = False):
         """Process: send ``size`` bytes already staged at ``payload_addr``.
@@ -211,7 +200,7 @@ class HostKernel:
                 yield from self.cpu.run(
                     self.costs.skb_alloc + nsegs * self.costs.tcp_per_segment,
                     CAT.NETWORK)
-            header = self._build_header(flow, batch)
+            header = flow.lso_header(batch)
             yield from self.nic.send(header, payload_addr + sent, batch,
                                      trace)
             sent += batch

@@ -2,11 +2,10 @@
 
 Exit codes:
 
-* ``0`` — no findings outside the baseline (stale baseline entries are
-  reported but do not fail the run);
-* ``1`` — at least one non-baselined finding (each is printed with its
-  rule id and location);
-* ``2`` — usage error (unknown rule id, unreadable path, bad baseline).
+* ``0`` — no findings;
+* ``1`` — at least one finding (each is printed with its rule id and
+  location);
+* ``2`` — usage error (a path that does not exist).
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_NAME
-from repro.lint.engine import (Finding, iter_python_files, lint_file,
-                               rule_classes)
-from repro.lint.report import render_json, render_text
+from repro.lint.engine import iter_python_files, lint_paths, rule_classes
+from repro.lint.report import render_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,40 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint "
                              "(default: src tests)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
-    parser.add_argument("--baseline", metavar="FILE",
-                        default=DEFAULT_BASELINE_NAME,
-                        help=f"baseline file (default: "
-                             f"{DEFAULT_BASELINE_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline to pin every current "
-                             "finding, then exit 0")
-    parser.add_argument("--rules", metavar="IDS",
-                        help="comma-separated rule ids to run "
-                             "(default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
-
-
-def _select_rules(spec: str) -> list:
-    classes = {cls.id: cls for cls in rule_classes()}
-    selected = []
-    for token in spec.split(","):
-        rule_id = token.strip().upper()
-        if not rule_id:
-            continue
-        if rule_id not in classes:
-            raise SystemExit(
-                f"simlint: unknown rule id {rule_id!r} "
-                f"(known: {', '.join(sorted(classes))})")
-        selected.append(classes[rule_id])
-    if not selected:
-        raise SystemExit("simlint: --rules selected nothing")
-    return selected
 
 
 def main(argv: List[str] = None) -> int:
@@ -75,45 +41,16 @@ def main(argv: List[str] = None) -> int:
             print(f"{cls.id}  {cls.name}: {cls.rationale}")
         return 0
 
-    try:
-        selected = _select_rules(args.rules) if args.rules else None
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    findings: List[Finding] = []
-    files_scanned = 0
+    files: List[Path] = []
     for raw in args.paths:
         root = Path(raw)
         if not root.exists():
             print(f"simlint: no such path: {raw}", file=sys.stderr)
             return 2
-        for file_path in iter_python_files(root):
-            files_scanned += 1
-            findings.extend(lint_file(file_path, selected))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    baseline_path = Path(args.baseline)
-    if args.no_baseline:
-        baseline = Baseline([], baseline_path)
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        baseline.write(findings)
-        print(f"simlint: baseline {baseline_path} now pins "
-              f"{len(findings)} finding"
-              f"{'s' if len(findings) != 1 else ''}")
-        return 0
-
-    new, baselined, stale = baseline.split(findings)
-    renderer = render_json if args.json else render_text
-    print(renderer(new, baselined, stale, files_scanned))
-    return 1 if new else 0
+        files.extend(iter_python_files(root))
+    findings = lint_paths(files)
+    print(render_text(findings, len(files)))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from itertools import count
 from typing import Optional
 
 from repro.errors import ProtocolError
-from repro.net.headers import EthernetHeader, TcpHeader
-from repro.net.packet import Frame
+from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
+from repro.net.packet import Frame, HEADER_LEN
 
 # Monotonic flow identifiers, assigned at construction.  Keying
 # per-flow state on ``flow.uid`` instead of ``id(flow)`` keeps every
@@ -68,6 +68,18 @@ class TcpFlow:
         header = TcpHeader(src_port=self.local.port, dst_port=self.remote.port,
                            seq=self.snd_nxt, ack=self.rcv_nxt)
         self.snd_nxt += payload_len
+        return header
+
+    def lso_header(self, payload_len: int) -> bytes:
+        """The 54-byte LSO header template for the next ``payload_len``
+        bytes; advances snd_nxt.  The NIC fixes up lengths and
+        checksums per segment."""
+        header = (self.eth_header().pack()
+                  + Ipv4Header(src_ip=self.local.ip, dst_ip=self.remote.ip,
+                               total_length=40).pack()
+                  + self.next_header(payload_len).pack(
+                      self.local.ip, self.remote.ip, b""))
+        assert len(header) == HEADER_LEN
         return header
 
     # -- receive ----------------------------------------------------------

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.errors import SimulationError
+from repro.errors import DeviceTimeout, SimulationError
 from repro.memory.region import MemoryRegion
 from repro.pcie.address import AddressMap
-from repro.pcie.link import LinkConfig, PcieLink
+from repro.pcie.link import COMPLETION_TIMEOUT_NS, LinkConfig, PcieLink
 from repro.pcie.transaction import (DOORBELL_WRITE_NS, HOP_FORWARD_NS,
                                     MSI_LATENCY_NS, READ_REQUEST_NS)
 from repro.sim.kernel import Simulator
@@ -87,10 +87,6 @@ class Fabric:
                 f"region {region.name} owned by unknown port {region.port!r}")
         return self.address_map.add(region)
 
-    def port_names(self) -> list[str]:
-        """All attached port names."""
-        return list(self._ports)
-
     def stats(self, port: str) -> PortStats:
         """Byte/doorbell counters for one port."""
         return self._port(port).stats
@@ -132,7 +128,7 @@ class Fabric:
             name=f"dma.write -> {region.port}", initiator=initiator,
             target=region.port, addr=addr, size=len(data))
         yield self.sim.timeout(2 * HOP_FORWARD_NS + region.access_latency)
-        yield from self._occupy_path(src.link, dst.link, len(data))
+        yield from self._occupy_path(src.link, dst.link, len(data), span)
         region.write(addr, data)
         self._account(src, dst, len(data))
         if span is not None:
@@ -157,14 +153,14 @@ class Fabric:
             target=region.port, addr=addr, size=length)
         yield self.sim.timeout(READ_REQUEST_NS + 2 * HOP_FORWARD_NS
                                + region.access_latency)
-        yield from self._occupy_path(src.link, dst.link, length)
+        yield from self._occupy_path(src.link, dst.link, length, span)
         data = region.read(addr, length)
         self._account(src, dst, length)
         if span is not None:
             span.end()
         return data
 
-    def _occupy_path(self, src_link, dst_link, size: int):
+    def _occupy_path(self, src_link, dst_link, size: int, dma_span):
         """Hold src TX and dst RX concurrently; the transfer lasts the
         bottleneck link's serialization time, but each direction is
         *held* only for its own time — a fast port trickle-receiving
@@ -178,7 +174,22 @@ class Fabric:
         can never hold-and-wait in a cycle (no deadlock).  The order
         must not depend on object identity: ``id()`` varies between
         runs in one process and would break trace determinism.
+
+        The ``pcie.timeout`` fault site is checked first, before any
+        resource or meter is taken: an injected completion timeout
+        stalls for the timeout interval, ends ``dma_span`` as failed and
+        raises :class:`DeviceTimeout`.
         """
+        faults = self.sim.faults
+        if faults is not None and faults.fires(
+                "pcie.timeout", src=src_link.name, dst=dst_link.name,
+                size=size):
+            yield self.sim.timeout(COMPLETION_TIMEOUT_NS)
+            if dma_span is not None:
+                dma_span.end(failed=True)
+            raise DeviceTimeout(
+                f"{src_link.name}->{dst_link.name}: TLP completion "
+                f"timeout ({size} B)")
         tracer = self.sim.tracer
         span = None if tracer is None else tracer.begin(
             "tlp.send", track=f"link:{src_link.name}",

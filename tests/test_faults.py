@@ -8,13 +8,16 @@ watchdogs, failed chains aborted without leaking engine resources —
 and all of it byte-reproducible for a given seed.
 """
 
+import zlib
+
 import pytest
 
+from repro.apps.workload import pattern_bytes
 from repro.core.command import D2DKind, D2DStatus
 from repro.errors import ConfigurationError, DeviceError
 from repro.faults import (FaultPlan, FaultRule, RetryPolicy, active_faults,
                           watchdog)
-from repro.schemes import Testbed
+from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines
 from repro.units import KIB, usec
 
@@ -284,6 +287,37 @@ class TestAbortAndCleanup:
         with pytest.raises(DeviceError, match="ABORTED"):
             _ = proc.value
         assert engine.tasks_failed == 1
+        tb.assert_no_leaks()
+
+
+class TestPcieTimeout:
+    @pytest.mark.parametrize("scheme_cls", [SwOptScheme, DcsCtrlScheme])
+    def test_first_dma_times_out_and_the_send_recovers(self, scheme_cls):
+        """The first fabric DMA after bring-up (a NIC receive-descriptor
+        fetch) stalls for the completion timeout and fails; the send
+        still checksums the right bytes, the run drains, nothing leaks."""
+        tb = Testbed(seed=30, faults=_plan(
+            FaultRule("pcie.timeout", occurrences={1})))
+        scheme = scheme_cls(tb)
+        data = pattern_bytes(16 * KIB, 13, 5)
+        tb.node0.host.install_file("t.dat", data)
+        conn = scheme.connect()
+
+        def sender(sim):
+            return (yield from scheme.send_file(
+                tb.node0, conn, "t.dat", 0, len(data), processing="crc32"))
+
+        proc = tb.sim.process(sender(tb.sim))
+        if not conn.offloaded:
+            dst = tb.node1.host.alloc_buffer(len(data))
+            tb.sim.process(tb.node1.host.kernel.socket_recv(
+                conn.flow1, len(data), dst))
+        tb.sim.run()
+        assert tb.sim.faults.injected == 1
+        assert proc.ok
+        assert proc.value.digest == zlib.crc32(data).to_bytes(4, "big")
+        if not conn.offloaded:
+            tb.node1.host.free_buffer(dst, len(data))
         tb.assert_no_leaks()
 
 

@@ -229,6 +229,20 @@ class TestTcpFlow:
         assert table.lookup(frame) is None
 
 
+    def test_lso_header_is_a_parseable_54_byte_template(self):
+        flow = TcpFlow(local=A, remote=B, initial_seq=100, initial_ack=7)
+        header = flow.lso_header(9000)
+        assert len(header) == HEADER_LEN == 54
+        assert checksum16(header[14:34]) == 0  # valid IPv4 checksum
+        frame = parse_frame(header)
+        assert frame.payload == b""
+        assert (frame.ip.src_ip, frame.ip.dst_ip) == (A.ip, B.ip)
+        assert (frame.tcp.src_port, frame.tcp.dst_port) == (A.port, B.port)
+        assert (frame.tcp.seq, frame.tcp.ack) == (100, 7)
+        assert flow.snd_nxt == 100 + 9000
+        assert parse_frame(flow.lso_header(1)).tcp.seq == 9100
+
+
 class TestWire:
     def test_delivery(self):
         sim = Simulator()
