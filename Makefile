@@ -23,12 +23,13 @@ trace-demo:      ## traced headline run -> trace.json (ui.perfetto.dev)
 	$(PYTHON) -m repro.experiments --trace trace.json headline
 	@echo "wrote trace.json - load it in https://ui.perfetto.dev"
 
-metrics-smoke:   ## metered headline: CSV non-empty + same-seed identical
+metrics-smoke:   ## metered headline == metered fig11 fig12a fig12b, non-empty
 	$(PYTHON) -m repro.experiments --metrics metrics-a.csv headline
-	$(PYTHON) -m repro.experiments --metrics metrics-b.csv headline
+	$(PYTHON) -m repro.experiments --metrics metrics-b.csv fig11 fig12a fig12b
 	@test -s metrics-a.csv || (echo "metrics CSV is empty" && exit 1)
 	@cmp metrics-a.csv metrics-b.csv \
-	    || (echo "metrics CSV differs across same-seed runs" && exit 1)
+	    || (echo "headline's metrics CSV differs from fig11 fig12a fig12b's" \
+	        && exit 1)
 	@echo "metrics-smoke OK: $$(wc -l < metrics-a.csv) rows, byte-identical"
 
 docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check

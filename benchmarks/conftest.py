@@ -9,6 +9,8 @@ is to time the reproduction itself and keep a uniform harness.
 
 import pytest
 
+from repro.experiments import run_fig12_hdfs, run_fig12_swift
+
 
 @pytest.fixture
 def once(benchmark):
@@ -19,3 +21,15 @@ def once(benchmark):
                                   rounds=1, iterations=1, warmup_rounds=0)
 
     return _run
+
+
+# The Fig 12 runs that Fig 13 and the headline summarize, simulated
+# once per session.
+@pytest.fixture(scope="session")
+def fig12a():
+    return run_fig12_swift()
+
+
+@pytest.fixture(scope="session")
+def fig12b():
+    return run_fig12_hdfs()

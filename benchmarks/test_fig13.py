@@ -3,8 +3,8 @@
 from repro.experiments import run_fig13
 
 
-def test_fig13(once):
-    result = once(run_fig13)
+def test_fig13(once, fig12a, fig12b):
+    result = once(run_fig13, fig12a, fig12b)
     print("\n" + result.render())
     # Paper: DCS-ctrl needs "three or fewer" cores to drive 40 Gbps
     # (Swift) and stays within the 6-core budget for HDFS, while the

@@ -1,10 +1,11 @@
 """Bench: the abstract's headline numbers, paper vs measured."""
 
-from repro.experiments import run_headline
+from repro.experiments import run_fig11, run_fig13, run_headline
 
 
-def test_headline(once):
-    result = once(run_headline)
+def test_headline(once, fig12a, fig12b):
+    result = once(run_headline, run_fig11(), fig12a, fig12b,
+                  run_fig13(fig12a, fig12b))
     print("\n" + result.render())
     # "reduces the latency of software-based direct D2D communications
     # by 42 % (without NDP) and by 72 % (with NDP)"

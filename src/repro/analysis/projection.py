@@ -40,10 +40,6 @@ class ScalabilityProjection:
         by_cpu = self.cpu_core_budget / self.cores_per_gbps
         return min(uncapped, by_cpu)
 
-    def cores_at(self, gbps: float) -> float:
-        """Projected core usage at an intermediate throughput."""
-        return self.cores_per_gbps * gbps
-
 
 def project_cores(measurements: Dict[str, tuple[float, float]],
                   target_gbps: float = 40.0,

@@ -49,9 +49,6 @@ class EngineBuffers:
             raise AllocationError("packet recv chunk pool exhausted")
         return self._recv_pool.pop()
 
-    def return_recv_chunk(self, addr: int) -> None:
-        self._recv_pool.append(addr)
-
     @property
     def free_chunks(self) -> int:
         return self._alloc.free_chunks

@@ -3,7 +3,8 @@
 Each runner builds fresh testbeds, executes the measurement, and
 returns an :class:`ExperimentResult` whose ``render()`` prints the
 paper-style rows and whose ``metrics`` carry the headline numbers the
-tests and EXPERIMENTS.md assert on.
+tests and EXPERIMENTS.md assert on.  ``run_fig13`` and ``run_headline``
+simulate nothing: they take the results they summarize as arguments.
 """
 
 from repro.experiments.result import ExperimentResult

@@ -27,8 +27,8 @@ import sys
 import time
 from contextlib import ExitStack
 
-from repro.experiments import (run_faults, run_fig11, run_fig12_hdfs,
-                               run_fig12_swift, run_fig13,
+from repro.experiments import (ExperimentResult, run_faults, run_fig11,
+                               run_fig12_hdfs, run_fig12_swift, run_fig13,
                                run_fig13_validate, run_fig3, run_fig8,
                                run_headline, run_sweep, run_table1,
                                run_table3, run_table4)
@@ -37,21 +37,23 @@ from repro.metrics import write_jsonl as write_metrics_jsonl
 from repro.trace import (TraceSession, trace_section, write_chrome,
                          write_jsonl)
 
-# slug -> (display label, runner, fast?).  Slugs are the CLI names.
+# slug -> (display label, runner, fast?, dependency slugs).  Slugs are
+# the CLI names; a runner is called with its dependencies' results.
 EXPERIMENTS = {
-    "table1": ("Table I", run_table1, True),
-    "table3": ("Table III", run_table3, True),
-    "table4": ("Table IV", run_table4, True),
-    "fig3": ("Fig 3", run_fig3, True),
-    "fig8": ("Fig 8", run_fig8, True),
-    "fig11": ("Fig 11", run_fig11, True),
-    "sweep": ("Size sweep", run_sweep, True),
-    "faults": ("Fault sweep", run_faults, False),
-    "fig12a": ("Fig 12a", run_fig12_swift, False),
-    "fig12b": ("Fig 12b", run_fig12_hdfs, False),
-    "fig13": ("Fig 13", run_fig13, False),
-    "fig13v": ("Fig 13 validated", run_fig13_validate, False),
-    "headline": ("Headline", run_headline, False),
+    "table1": ("Table I", run_table1, True, ()),
+    "table3": ("Table III", run_table3, True, ()),
+    "table4": ("Table IV", run_table4, True, ()),
+    "fig3": ("Fig 3", run_fig3, True, ()),
+    "fig8": ("Fig 8", run_fig8, True, ()),
+    "fig11": ("Fig 11", run_fig11, True, ()),
+    "sweep": ("Size sweep", run_sweep, True, ()),
+    "faults": ("Fault sweep", run_faults, False, ()),
+    "fig12a": ("Fig 12a", run_fig12_swift, False, ()),
+    "fig12b": ("Fig 12b", run_fig12_hdfs, False, ()),
+    "fig13": ("Fig 13", run_fig13, False, ("fig12a", "fig12b")),
+    "fig13v": ("Fig 13 validated", run_fig13_validate, False, ()),
+    "headline": ("Headline", run_headline, False,
+                 ("fig11", "fig12a", "fig12b", "fig13")),
 }
 
 
@@ -95,6 +97,20 @@ def check_writable(kind: str, path: str | None) -> bool:
     return True
 
 
+def _resolve(slug: str,
+             results: dict[str, ExperimentResult]) -> ExperimentResult:
+    """``slug``'s result, run at most once per ``results`` cache.
+
+    Dependencies resolve first, each under its own trace section, so
+    every simulator is labelled with the slug that built it."""
+    if slug not in results:
+        _, runner, _, deps = EXPERIMENTS[slug]
+        inputs = [_resolve(dep, results) for dep in deps]
+        with trace_section(slug):
+            results[slug] = runner(*inputs)
+    return results[slug]
+
+
 def main(argv: list[str]) -> int:
     opts = _parse(argv)
     unknown = [slug for slug in opts.experiments if slug not in EXPERIMENTS]
@@ -105,7 +121,7 @@ def main(argv: list[str]) -> int:
     if opts.experiments:
         slugs = opts.experiments
     else:
-        slugs = [slug for slug, (_, _, fast) in EXPERIMENTS.items()
+        slugs = [slug for slug, (_, _, fast, _) in EXPERIMENTS.items()
                  if fast or not opts.fast]
 
     for kind, path in (("trace", opts.trace), ("trace", opts.trace_jsonl),
@@ -122,12 +138,12 @@ def main(argv: list[str]) -> int:
         for plane in (session, metrics):
             if plane is not None:
                 stack.enter_context(plane)
+        results: dict[str, ExperimentResult] = {}
         for slug in slugs:
-            label, runner, _ = EXPERIMENTS[slug]
             start = time.time()
-            with trace_section(slug):
-                result = runner()
+            result = _resolve(slug, results)
             print(result.render())
+            label = EXPERIMENTS[slug][0]
             print(f"[{label} regenerated in {time.time() - start:.1f}s]\n")
     if session is not None:
         if opts.trace is not None:

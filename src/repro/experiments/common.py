@@ -30,11 +30,11 @@ def software_us(result: TransferResult) -> float:
 
 
 def measure_send(scheme_cls: Type[Scheme], processing: Optional[str],
-                 size: int = MICROBENCH_SIZE, seed: int = 5,
+                 size: int = MICROBENCH_SIZE,
                  warmups: int = 1) -> TransferResult:
     """One steady-state send_file measurement on a fresh testbed."""
     with trace_section(f"{scheme_cls.name}/{processing or 'none'}"):
-        tb = Testbed(seed=seed)
+        tb = Testbed()
         scheme = scheme_cls(tb)
         data = bytes((i * 7) % 256 for i in range(size))
         for index in range(warmups):
@@ -71,12 +71,11 @@ def _run_one(tb: Testbed, scheme: Scheme, data: bytes, name: str,
 
 
 def measure_send_cpu(scheme_cls: Type[Scheme], processing: Optional[str],
-                     size: int = MICROBENCH_SIZE, seed: int = 5
-                     ) -> dict[str, float]:
+                     size: int = MICROBENCH_SIZE) -> dict[str, float]:
     """CPU busy-time (ns per request, by category) of one steady-state
     send on node0."""
     with trace_section(f"{scheme_cls.name}/cpu/{processing or 'none'}"):
-        tb = Testbed(seed=seed)
+        tb = Testbed()
         scheme = scheme_cls(tb)
         data = bytes((i * 7) % 256 for i in range(size))
         _run_one(tb, scheme, data, "warm.dat", processing)

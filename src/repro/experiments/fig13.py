@@ -6,61 +6,38 @@ grows to 40 Gbps (40-Gbps NIC, six NVMe SSDs, one 6-core Xeon), and
 what throughput fits once the 6-core budget caps the design.  Each
 node runs both directions of balancer/replication traffic, so the
 projection charges a node with its send-side and receive-side CPU.
+
+Nothing is simulated here: the measurements are Fig 12's runs, read
+from the per-scheme metrics of the Fig 12a and Fig 12b results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.analysis.projection import project_cores
-from repro.apps import run_hdfs_balancer, run_swift
-from repro.experiments.fig12 import HDFS_CONFIG, SWIFT_CONFIG
+from repro.experiments.fig12 import measured
 from repro.experiments.result import ExperimentResult
-from repro.schemes import DcsCtrlScheme, SwOptScheme, SwP2pScheme, Testbed
-
-SCHEMES = (("sw-opt", SwOptScheme), ("sw-p2p", SwP2pScheme),
-           ("dcs-ctrl", DcsCtrlScheme))
 
 TARGET_GBPS = 40.0
 CORE_BUDGET = 6
 CORES = 6
 
 
-def _measure_swift() -> Dict[str, Tuple[float, float]]:
-    out = {}
-    for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=31)
-        run = run_swift(scheme_cls(tb), SWIFT_CONFIG)
-        out[name] = (run.throughput_gbps, run.server_cpu_total * CORES)
-    return out
-
-
-def _measure_hdfs() -> Dict[str, Tuple[float, float]]:
-    out = {}
-    for name, scheme_cls in SCHEMES:
-        tb = Testbed(seed=32)
-        run = run_hdfs_balancer(scheme_cls(tb), HDFS_CONFIG)
-        # A storage node carries both roles' CPU at line rate.
-        cores = (run.sender_cpu_total + run.receiver_cpu_total) * CORES
-        out[name] = (run.throughput_gbps, cores)
-    return out
-
-
-def run_fig13() -> ExperimentResult:
+def run_fig13(fig12a: ExperimentResult,
+              fig12b: ExperimentResult) -> ExperimentResult:
     result = ExperimentResult(
         name="Fig 13: projected cores and achievable throughput at "
              f"{TARGET_GBPS:.0f} Gbps ({CORE_BUDGET}-core budget)",
         headers=["app", "scheme", "measured Gbps", "measured cores",
                  "cores @40G", "achievable Gbps"])
     metrics = {}
-    for app, measurements in (("swift", _measure_swift()),
-                              ("hdfs", _measure_hdfs())):
-        projections = project_cores(measurements, target_gbps=TARGET_GBPS,
-                                    cpu_core_budget=CORE_BUDGET)
+    for app, fig12 in (("swift", fig12a), ("hdfs", fig12b)):
+        projections = project_cores(
+            {name: (gbps, cpu * CORES)
+             for name, (gbps, cpu) in measured(fig12, app).items()},
+            target_gbps=TARGET_GBPS, cpu_core_budget=CORE_BUDGET)
         by_name = {p.scheme: p for p in projections}
-        for name, _ in SCHEMES:
-            p = by_name[name]
-            result.add_row(app, name, f"{p.measured_gbps:.2f}",
+        for p in projections:
+            result.add_row(app, p.scheme, f"{p.measured_gbps:.2f}",
                            f"{p.measured_core_equivalents:.2f}",
                            f"{p.cores_needed_at_target:.2f}",
                            f"{p.achievable_gbps:.2f}")

@@ -49,8 +49,8 @@ def _linux_buffered_send(tb: Testbed, name: str) -> int:
     return host.cpu.tracker.total()
 
 
-def _scheme_send_cpu(scheme_cls, seed: int) -> int:
-    tb = Testbed(seed=seed)
+def _scheme_send_cpu(scheme_cls) -> int:
+    tb = Testbed()
     scheme = scheme_cls(tb)
     data = bytes(SIZE)
     tb.node0.host.install_file("fig8.dat", data)
@@ -74,11 +74,11 @@ def _scheme_send_cpu(scheme_cls, seed: int) -> int:
 
 
 def run_fig8() -> ExperimentResult:
-    tb = Testbed(seed=8)
+    tb = Testbed()
     tb.node0.host.install_file("fig8.dat", bytes(SIZE))
     linux_ns = _linux_buffered_send(tb, "fig8.dat")
-    swopt_ns = _scheme_send_cpu(SwOptScheme, seed=8)
-    dcs_ns = _scheme_send_cpu(DcsCtrlScheme, seed=8)
+    swopt_ns = _scheme_send_cpu(SwOptScheme)
+    dcs_ns = _scheme_send_cpu(DcsCtrlScheme)
 
     result = ExperimentResult(
         name="Fig 8: kernel-side CPU per 64 KiB SSD->NIC request",

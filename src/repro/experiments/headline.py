@@ -9,18 +9,13 @@
 
 from __future__ import annotations
 
-from repro.experiments.fig11 import run_fig11
-from repro.experiments.fig12 import run_fig12_hdfs, run_fig12_swift
-from repro.experiments.fig13 import run_fig13
 from repro.experiments.result import ExperimentResult
 
 
-def run_headline() -> ExperimentResult:
-    fig11 = run_fig11()
-    fig12a = run_fig12_swift()
-    fig12b = run_fig12_hdfs()
-    fig13 = run_fig13()
-
+def run_headline(fig11: ExperimentResult, fig12a: ExperimentResult,
+                 fig12b: ExperimentResult,
+                 fig13: ExperimentResult) -> ExperimentResult:
+    """Summarize the given Fig 11/12a/12b/13 results; simulates nothing."""
     result = ExperimentResult(
         name="Headline claims: paper vs reproduction",
         headers=["claim", "paper", "measured"])

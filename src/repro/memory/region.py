@@ -57,11 +57,6 @@ class SparseBytes:
             page[page_off:page_off + take] = data[pos:pos + take]
             pos += take
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of real memory currently backing the store."""
-        return len(self._pages) * self.PAGE
-
 
 MmioWriteHook = Callable[[int, bytes], None]
 MmioReadHook = Callable[[int, int], bytes]

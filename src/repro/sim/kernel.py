@@ -51,11 +51,6 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def _finish_span(self, failed: bool = False) -> None:
         if self._span is not None:
             span, self._span = self._span, None

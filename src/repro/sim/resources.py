@@ -54,11 +54,6 @@ class Resource:
         """Number of requests currently holding the resource."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for the resource."""
-        return len(self._waiting)
-
     def request(self) -> Request:
         """Claim the resource; the returned event triggers when granted."""
         req = Request(self)

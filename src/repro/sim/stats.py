@@ -136,14 +136,6 @@ class Histogram:
             return 0.0
         return sum(self._samples) / len(self._samples)
 
-    def stdev(self) -> float:
-        """Population standard deviation; 0.0 for fewer than 2 samples."""
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / n)
-
     def percentile(self, pct: float) -> float:
         """Nearest-rank percentile, ``pct`` in [0, 100]."""
         if not self._samples:

@@ -36,9 +36,6 @@ class RequestBreakdown:
     def attributed_ns(self) -> int:
         return sum(self.categories.values())
 
-    def category_ns(self, category: str) -> int:
-        return self.categories.get(category, 0)
-
     def render(self) -> str:
         lines = [f"{self.name}: {self.total_ns / 1000:.2f} us total"]
         for category, dur in sorted(self.categories.items(),

@@ -91,7 +91,6 @@ class TestProjection:
         assert p.cores_per_gbps == pytest.approx(0.1)
         assert p.cores_needed_at_target == pytest.approx(4.0)
         assert p.achievable_gbps == pytest.approx(40.0)  # under budget
-        assert p.cores_at(20.0) == pytest.approx(2.0)
 
     def test_core_budget_caps_throughput(self):
         p = ScalabilityProjection(scheme="x", measured_gbps=10.0,

@@ -27,8 +27,8 @@ class TestEngineBuffers:
                                 recv_pool_chunks=16)
         free_before = buffers.free_chunks
         chunk = buffers.take_recv_chunk()
+        assert chunk >= 0
         assert buffers.free_chunks == free_before  # pool, not allocator
-        buffers.return_recv_chunk(chunk)
 
     def test_recv_pool_exhaustion(self):
         buffers = EngineBuffers(ddr_base=0, size=4 * MIB,

@@ -72,9 +72,9 @@ class TestProcess:
             yield sim.timeout(10)
 
         proc = sim.process(body(sim))
-        assert proc.is_alive
+        assert not proc.triggered
         sim.run()
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_process_can_wait_on_process(self, sim):
         def child(sim):

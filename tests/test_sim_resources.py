@@ -88,7 +88,8 @@ class TestResource:
         res.release(waiting)          # cancel from the queue
         res.release(held)
         assert res.count == 0
-        assert res.queue_length == 0
+        assert not waiting.triggered
+        assert res.request().triggered  # nothing left queued ahead
 
     def test_bad_capacity_rejected(self, sim):
         with pytest.raises(SimulationError):
@@ -98,10 +99,10 @@ class TestResource:
         res = Resource(sim, capacity=2)
         r1, r2, r3 = res.request(), res.request(), res.request()
         assert res.count == 2
-        assert res.queue_length == 1
+        assert not r3.triggered  # queued
         res.release(r1)
         assert res.count == 2  # r3 was promoted
-        assert res.queue_length == 0
+        assert r3.triggered
         res.release(r2)
         res.release(r3)
 

@@ -107,7 +107,6 @@ class TestHistogram:
     def test_empty_histogram_guards(self):
         hist = Histogram()
         assert hist.mean() == 0.0
-        assert hist.stdev() == 0.0
         with pytest.raises(SimulationError):
             hist.percentile(50)
 

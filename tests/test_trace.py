@@ -176,7 +176,7 @@ class TestBreakdown:
         assert breakdown is not None
         assert set(breakdown.categories) == set(result.trace.segments)
         for category, expected in result.trace.segments.items():
-            assert abs(breakdown.category_ns(category) - expected) <= 1
+            assert abs(breakdown.categories[category] - expected) <= 1
         assert breakdown.total_ns == result.trace.total
 
     def test_one_breakdown_per_request(self):

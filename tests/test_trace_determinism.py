@@ -8,7 +8,7 @@ from repro.units import KIB
 
 def _traced_run(scheme_cls, processing):
     with TraceSession(label="golden") as session:
-        measure_send(scheme_cls, processing, seed=7)
+        measure_send(scheme_cls, processing)
     return session
 
 
