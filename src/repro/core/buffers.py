@@ -5,11 +5,14 @@ buffers for intermediate processing and packet recv buffers for NIC
 devices.  To easily manage large memory space, the intermediate buffers
 and packet recv buffers are chunked into multiple fixed-size blocks
 (64KB)."
+
+Both come from one allocator: the NIC controller takes its receive
+chunks at engine bring-up, before any intermediate buffer exists, so
+they cannot be starved.
 """
 
 from __future__ import annotations
 
-from repro.errors import AllocationError
 from repro.memory.allocator import ChunkAllocator
 from repro.units import GIB, KIB
 
@@ -20,16 +23,10 @@ DDR3_SIZE = 1 * GIB
 class EngineBuffers:
     """Chunked allocation over the engine's DDR3 window."""
 
-    def __init__(self, ddr_base: int, size: int = DDR3_SIZE,
-                 recv_pool_chunks: int = 512):
+    def __init__(self, ddr_base: int, size: int = DDR3_SIZE):
         self._alloc = ChunkAllocator(ddr_base, size, CHUNK_SIZE)
-        # A dedicated pool of packet receive chunks, carved up front so
-        # bursty intermediate-buffer use can't starve the NIC.
-        self._recv_pool = [self._alloc.alloc()
-                           for _ in range(recv_pool_chunks)]
-        self.recv_pool_size = recv_pool_chunks
 
-    # -- intermediate buffers ---------------------------------------------
+    # -- allocation -------------------------------------------------------
 
     def alloc_intermediate(self, size: int) -> int:
         """A contiguous intermediate buffer of at least ``size`` bytes."""
@@ -40,14 +37,6 @@ class EngineBuffers:
 
     def free_intermediate(self, addr: int, size: int) -> None:
         self._alloc.free(addr, self._alloc.chunks_for(size))
-
-    # -- packet receive chunks ------------------------------------------------
-
-    def take_recv_chunk(self) -> int:
-        """One 64 KiB packet receive chunk (staging for inbound frames)."""
-        if not self._recv_pool:
-            raise AllocationError("packet recv chunk pool exhausted")
-        return self._recv_pool.pop()
 
     @property
     def free_chunks(self) -> int:

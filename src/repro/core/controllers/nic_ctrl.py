@@ -122,7 +122,7 @@ class EngineNicController(Executor):
     def start(self):
         """Process: carve staging slots and arm the receive ring."""
         for _ in range(RING_DEPTH // (64 * KIB // RECV_SLOT) + 1):
-            chunk = self.buffers.take_recv_chunk()
+            chunk = self.buffers.alloc_intermediate(64 * KIB)
             for off in range(0, 64 * KIB, RECV_SLOT):
                 self._slot_pool.append(chunk + off)
         for _ in range(RING_DEPTH - 1):

@@ -1,20 +1,21 @@
-"""NVMe SSD model: command structures, queue rings, flash store, device."""
+"""NVMe SSD model: commands, queue rings, flash, device, and initiator."""
 
 from repro.devices.nvme.commands import (CQE_SIZE, OP_FLUSH, OP_READ, OP_WRITE,
                                          SQE_SIZE, Completion, NvmeCommand,
                                          prp_pages)
-from repro.devices.nvme.queues import CompletionPoller, QueuePair
+from repro.devices.nvme.queues import QueuePair
 from repro.devices.nvme.flash import FlashStore, FlashTiming
+from repro.devices.nvme.initiator import NvmeInitiator
 from repro.devices.nvme.ssd import INTEL_750_400GB, NvmeSsd, SsdConfig
 
 __all__ = [
     "CQE_SIZE",
     "Completion",
-    "CompletionPoller",
     "FlashStore",
     "FlashTiming",
     "INTEL_750_400GB",
     "NvmeCommand",
+    "NvmeInitiator",
     "NvmeSsd",
     "OP_FLUSH",
     "OP_READ",

@@ -90,7 +90,7 @@ def run_faults() -> ExperimentResult:
                  "goodput Gbps", "errors", "injected"])
     for scheme_name, scheme_cls in ALL_SCHEMES.items():
         for rate in FAULT_RATES:
-            with trace_section(f"faults/{scheme_name}/{rate}"):
+            with trace_section(f"{scheme_name}/{rate}"):
                 cell = _run_cell(scheme_cls, rate)
             lat = cell["latencies"]
             p50 = _percentile(lat, 0.50) if lat else float("nan")

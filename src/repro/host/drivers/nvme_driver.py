@@ -5,19 +5,18 @@ I/O pays command building and submission on a CPU (device control) and
 an interrupt + completion handling + wakeup on a CPU (request
 completion).  The driver attributes the in-between time — when only
 the device is working — to :data:`CAT.READ` / :data:`CAT.WRITE` on the
-request's latency trace.
+request's latency trace.  The NVMe protocol itself (cids, PRP lists,
+doorbells, waiters, retries) is :class:`NvmeInitiator`'s.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.analysis.breakdown import NULL_TRACE
-from repro.devices.nvme.commands import (LBA_SIZE, NvmeCommand, OP_READ,
-                                         OP_WRITE, prp_fields, prp_pages)
+from repro.devices.nvme.commands import LBA_SIZE, OP_READ, OP_WRITE
+from repro.devices.nvme.initiator import NvmeInitiator
 from repro.devices.nvme.ssd import NvmeSsd
-from repro.errors import DeviceError, DeviceTimeout, ProtocolError
-from repro.faults import HOST_NVME_POLICY, active_faults, watchdog
+from repro.errors import ProtocolError
+from repro.faults import HOST_NVME_POLICY
 from repro.host.cpu import CpuPool
 from repro.host.costs import CAT, SoftwareCosts
 from repro.host.kernel.interrupts import InterruptController
@@ -36,25 +35,22 @@ class HostNvmeDriver:
                  irq: InterruptController, sq_addr: int, cq_addr: int,
                  prp_pool_addr: int, qid: int = 1):
         self.sim = sim
-        self.fabric = fabric
         self.cpu = cpu
         self.costs = costs
         self.ssd = ssd
-        self.qp = ssd.create_io_queue(qid, sq_addr, cq_addr,
-                                      self.QUEUE_DEPTH, interrupt=True)
-        self._prp_pool_addr = prp_pool_addr
-        self._waiters: Dict[int, object] = {}  # cid -> Event
+        qp = ssd.create_io_queue(qid, sq_addr, cq_addr, self.QUEUE_DEPTH,
+                                 interrupt=True)
         irq.register(ssd.name, vector=qid, handler=self._on_irq)
         self._irq_busy = False
-        # Command deadline + bounded-retry knobs (Linux nvme's timeout
-        # and retry behaviour, first order).
-        self.policy = HOST_NVME_POLICY
-        self.retries = 0
-        self.late_completions = 0
-        metrics = sim.metrics
-        if metrics is not None:
-            metrics.polled("faults.retries", lambda: self.retries,
-                           owner=f"{fabric.name}:host-nvme:{ssd.name}")
+        # One scratch page per cid for PRP lists; Linux nvme's command
+        # timeout and bounded retry, first order.
+        self.nvme = NvmeInitiator(
+            sim, qp, "host", prp_pool_addr, PAGE, HOST_NVME_POLICY,
+            "host NVMe", owner=f"{fabric.name}:host-nvme:{ssd.name}")
+
+    @property
+    def retries(self) -> int:
+        return self.nvme.retries
 
     # -- submission ----------------------------------------------------------
 
@@ -67,63 +63,35 @@ class HostNvmeDriver:
         """
         if nbytes % LBA_SIZE:
             raise ProtocolError(f"I/O of {nbytes} bytes is not block-sized")
-        attempt = 0
-        while True:
-            failure = None
-            cid = self.qp.allocate_cid()
+        submitted = 0
+
+        def issue():
+            nonlocal submitted
+            # The block layer hands the driver a tagged request: the cid
+            # exists before the CPU builds the command.
+            command = self.nvme.prepare(opcode, slba, nbytes, buf_addr)
             with trace.span(CAT.DEVICE_CONTROL):
                 yield from self.cpu.run(
                     self.costs.block_submit + self.costs.nvme_submit,
                     CAT.DEVICE_CONTROL)
-                pages = prp_pages(buf_addr, nbytes)
-                prp1, prp2, blob = prp_fields(pages)
-                if blob:
-                    list_addr = self._prp_list_slot(cid)
-                    self.fabric.address_map.write(list_addr, blob)
-                    prp2 = list_addr
-                command = NvmeCommand(opcode=opcode, cid=cid, nsid=1,
-                                      prp1=prp1, prp2=prp2, slba=slba,
-                                      nlb=nbytes // LBA_SIZE - 1)
-                self.qp.push(command)
-                yield from self.qp.ring_sq("host")
-            waiter = self.sim.event()
-            self._waiters[cid] = waiter
-            submit_done = self.sim.now
-            if active_faults(self.sim) is not None:
-                watchdog(self.sim, waiter, self.policy.deadline_for(nbytes),
-                         f"host NVMe cid {cid}", cid=cid, slba=slba,
-                         size=nbytes)
-            try:
-                cqe, irq_at = yield waiter
-            except DeviceTimeout as exc:
-                # The command is lost (dropped CQE, lost MSI, dead
-                # device): forget it and retry with a fresh cid.
-                self._waiters.pop(cid, None)
-                failure = exc
-            else:
-                device_cat = CAT.READ if opcode == OP_READ else CAT.WRITE
-                trace.add(device_cat, irq_at - submit_done)
-                trace.add(CAT.COMPLETION, self.sim.now - irq_at)
-                with trace.span(CAT.COMPLETION):
-                    # The waiting context reschedules after the IRQ wakeup.
-                    yield from self.cpu.run(self.costs.context_switch,
-                                            CAT.COMPLETION)
-                if cqe.ok:
-                    return cqe
-                failure = DeviceError(
-                    f"NVMe I/O failed with status {cqe.status} "
-                    f"(opcode {opcode}, slba {slba}, {nbytes} bytes)")
-            if attempt >= self.policy.retries:
-                raise failure
-            attempt += 1
-            self.retries += 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.instant("recover.retry", track="faults",
-                               name=f"host NVMe retry {attempt}",
-                               cid=cid, attempt=attempt,
-                               reason=str(failure))
-            yield self.sim.timeout(self.policy.backoff(attempt))
+                waiter = yield from self.nvme.post(command)
+            submitted = self.sim.now
+            return command, waiter
+
+        def settle(completed):
+            cqe, irq_at = completed
+            device_cat = CAT.READ if opcode == OP_READ else CAT.WRITE
+            trace.add(device_cat, irq_at - submitted)
+            trace.add(CAT.COMPLETION, self.sim.now - irq_at)
+            with trace.span(CAT.COMPLETION):
+                # The waiting context reschedules after the IRQ wakeup.
+                yield from self.cpu.run(self.costs.context_switch,
+                                        CAT.COMPLETION)
+            return cqe
+
+        command, waiter = yield from issue()
+        return (yield from self.nvme.complete(command, waiter, issue,
+                                              settle))
 
     def _split_io(self, opcode: int, slba: int, nbytes: int, buf_addr: int,
                   trace):
@@ -133,14 +101,9 @@ class HostNvmeDriver:
         if nbytes <= mdts:
             return (yield from self.submit_io(opcode, slba, nbytes,
                                               buf_addr, trace))
-        parts = []
-        offset = 0
-        while offset < nbytes:
-            chunk = min(mdts, nbytes - offset)
-            parts.append(self.sim.process(self.submit_io(
-                opcode, slba + offset // LBA_SIZE, chunk, buf_addr + offset,
-                trace)))
-            offset += chunk
+        parts = [self.sim.process(self.submit_io(
+            opcode, slba + off // LBA_SIZE, min(mdts, nbytes - off),
+            buf_addr + off, trace)) for off in range(0, nbytes, mdts)]
         last = None
         for part in parts:
             last = yield part
@@ -154,10 +117,6 @@ class HostNvmeDriver:
         """Process: write blocks from ``buf_addr``; returns the last CQE."""
         return self._split_io(OP_WRITE, slba, nbytes, buf_addr, trace)
 
-    def _prp_list_slot(self, cid: int) -> int:
-        """A per-command scratch page for PRP lists."""
-        return self._prp_pool_addr + (cid % self.QUEUE_DEPTH) * PAGE
-
     # -- completion ------------------------------------------------------------
 
     def _on_irq(self) -> None:
@@ -168,19 +127,8 @@ class HostNvmeDriver:
 
     def _irq_handler(self, irq_at: int):
         yield from self.cpu.run(self.costs.interrupt_entry, CAT.COMPLETION)
-        drained_any = True
-        while drained_any:
-            drained_any = False
-            while (cqe := self.qp.poll_completion()) is not None:
-                drained_any = True
-                yield from self.cpu.run(self.costs.nvme_complete,
-                                        CAT.COMPLETION)
-                yield from self.qp.ring_cq("host")
-                waiter = self._waiters.pop(cqe.cid, None)
-                if waiter is None or waiter.triggered:
-                    # Completion for a command whose deadline already
-                    # expired (it was retried with a fresh cid).
-                    self.late_completions += 1
-                    continue
-                waiter.succeed((cqe, irq_at))
+        while (cqe := self.nvme.qp.poll_completion()) is not None:
+            yield from self.cpu.run(self.costs.nvme_complete,
+                                    CAT.COMPLETION)
+            yield from self.nvme.retire(cqe, (cqe, irq_at))
         self._irq_busy = False

@@ -16,6 +16,7 @@ default every instrumentation site guards on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Type, TypeVar
 
 from repro.errors import ReproError
@@ -43,6 +44,7 @@ class Session:
     def __init__(self, label: str = "run"):
         self.recorders: List[Any] = []
         self._label = label
+        self._sections: List[str] = []  # open trace_section labels
         self._counter = 0
 
     def _new(self, sim, label: str) -> Any:
@@ -70,17 +72,11 @@ class Session:
         self.uninstall()
         self.finalize()
 
-    # -- labelling --------------------------------------------------------
-
-    def set_label(self, label: str) -> str:
-        """Label simulators created from now on; returns the old label."""
-        previous, self._label = self._label, label
-        return previous
-
     # -- recorders --------------------------------------------------------
 
     def _attach(self, sim) -> Any:
-        recorder = self._new(sim, f"{self._label}/sim{self._counter}")
+        label = "/".join(self._sections) or self._label
+        recorder = self._new(sim, f"{label}/sim{self._counter}")
         self._counter += 1
         self.recorders.append(recorder)
         return recorder
@@ -106,3 +102,23 @@ def attach(sim) -> None:
     of a plane with no session installed is set to ``None``."""
     for attr, session in _INSTALLED.items():
         setattr(sim, attr, None if session is None else session._attach(sim))
+
+
+@contextmanager
+def trace_section(label: str):
+    """Label every simulator built inside the block -- the hook the
+    experiment runners use.
+
+    Labels every installed session (the trace *and* the metrics plane)
+    and is a no-op when none is installed.  Sections nest: one opened
+    inside another appends to its label (``fig3/sw-opt/crc32``); with
+    no section open, simulators carry the session's own label.
+    """
+    sessions = installed_sessions()
+    for session in sessions:
+        session._sections.append(label)
+    try:
+        yield
+    finally:
+        for session in sessions:
+            session._sections.pop()

@@ -11,8 +11,8 @@ from repro.trace.events import (EVENT_TYPES, event_type_names,
                                 is_registered)
 from repro.trace.export import (jsonl_lines, to_chrome, write_chrome,
                                 write_jsonl)
-from repro.trace.tracer import (Span, TraceEvent, Tracer, TraceSession,
-                                trace_section)
+from repro.sim.session import trace_section
+from repro.trace.tracer import Span, TraceEvent, Tracer, TraceSession
 
 __all__ = [
     "EVENT_TYPES", "is_registered", "event_type_names",

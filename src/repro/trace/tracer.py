@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import TraceError
-from repro.sim.session import Session, installed_sessions
+from repro.sim.session import Session
 from repro.trace.events import EVENT_TYPES
 
 
@@ -188,8 +188,8 @@ class TraceSession(Session):
     """Collects the tracers of every simulator built while installed::
 
         with TraceSession() as session:
-            session.set_label("fig11")
-            run_fig11()
+            with trace_section("fig11"):
+                run_fig11()
         write_chrome("out.json", session)
     """
 
@@ -202,17 +202,3 @@ class TraceSession(Session):
 
     def _new(self, sim, label: str) -> Tracer:
         return Tracer(sim, label=label)
-
-
-@contextmanager
-def trace_section(label: str):
-    """Label every simulator built inside the block — the hook the
-    experiment runners use.  Labels every installed session (the trace
-    *and* the metrics plane) and is a no-op when none is installed."""
-    sessions = installed_sessions()
-    previous = [session.set_label(label) for session in sessions]
-    try:
-        yield
-    finally:
-        for session, old in zip(sessions, previous):
-            session.set_label(old)

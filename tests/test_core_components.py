@@ -16,35 +16,40 @@ from repro.units import GIB, KIB, MIB
 
 class TestEngineBuffers:
     def test_intermediate_alloc_free(self):
-        buffers = EngineBuffers(ddr_base=0x1000_0000, size=64 * MIB,
-                                recv_pool_chunks=16)
+        buffers = EngineBuffers(ddr_base=0x1000_0000, size=64 * MIB)
         addr = buffers.alloc_intermediate(100 * KIB)  # 2 chunks
         assert addr >= 0x1000_0000
         buffers.free_intermediate(addr, 100 * KIB)
 
     def test_recv_pool_is_carved_up_front(self):
-        buffers = EngineBuffers(ddr_base=0, size=64 * MIB,
-                                recv_pool_chunks=16)
-        free_before = buffers.free_chunks
-        chunk = buffers.take_recv_chunk()
-        assert chunk >= 0
-        assert buffers.free_chunks == free_before  # pool, not allocator
+        """The NIC controller's receive chunks come out of the shared
+        allocator at bring-up; nothing is reserved beyond them."""
+        tb = Testbed()
+        buffers = tb.node0.engine.buffers
+        assert buffers.free_chunks == (1 * GIB // CHUNK_SIZE) - 9
 
     def test_recv_pool_exhaustion(self):
-        buffers = EngineBuffers(ddr_base=0, size=4 * MIB,
-                                recv_pool_chunks=2)
-        buffers.take_recv_chunk()
-        buffers.take_recv_chunk()
+        buffers = EngineBuffers(ddr_base=0, size=2 * CHUNK_SIZE)
+        buffers.alloc_intermediate(CHUNK_SIZE)
+        buffers.alloc_intermediate(CHUNK_SIZE)
         with pytest.raises(AllocationError):
-            buffers.take_recv_chunk()
+            buffers.alloc_intermediate(CHUNK_SIZE)
+
+    def test_idle_engine_holds_only_its_receive_chunks(self):
+        """An idle engine's DDR3 in use is the NIC controller's nine
+        64 KiB receive chunks (256 descriptors x 2 KiB slots, plus one
+        chunk of slack), not a 512-chunk reservation."""
+        tb = Testbed()
+        for node in tb.nodes:
+            assert node.engine.buffers.bytes_in_use == 9 * 64 * KIB
 
     def test_chunk_size_is_64k(self):
         assert CHUNK_SIZE == 64 * KIB
 
     def test_full_gigabyte_window(self):
         buffers = EngineBuffers(ddr_base=0xC000_0000)
-        # 1 GiB / 64 KiB = 16384 chunks minus the 512-chunk recv pool.
-        assert buffers.free_chunks == (1 * GIB // CHUNK_SIZE) - 512
+        # 1 GiB / 64 KiB = 16384 chunks, none reserved up front.
+        assert buffers.free_chunks == 1 * GIB // CHUNK_SIZE
 
 
 class TestHostInterface:

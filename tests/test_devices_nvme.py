@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.devices.nvme import (Completion, CompletionPoller, FlashStore,
-                                INTEL_750_400GB, NvmeCommand, NvmeSsd,
-                                OP_FLUSH, OP_READ, OP_WRITE, QueuePair,
-                                prp_pages)
+from repro.devices.nvme import (Completion, FlashStore, INTEL_750_400GB,
+                                NvmeCommand, NvmeInitiator, NvmeSsd,
+                                OP_FLUSH, OP_READ, OP_WRITE, prp_pages)
 from repro.devices.nvme.commands import (LBA_SIZE, prp_fields,
                                          unpack_prp_list)
 from repro.errors import DeviceError, ProtocolError
+from repro.faults import HOST_NVME_POLICY
 from repro.units import KIB, MIB, PAGE, usec
 
 from tests.conftest import SSD_BAR
@@ -85,34 +85,47 @@ def ssd(sim, fabric):
     return NvmeSsd(sim, fabric, "ssd", bar_base=SSD_BAR)
 
 
-def _submit(fabric, qp, command, initiator="host"):
-    """Push one SQE and ring the doorbell (as a process)."""
-    qp.push(command)
-    return qp.ring_sq(initiator)
+def _initiator(sim, ssd, qid=1, interrupt=False, ring_offset=0):
+    """An initiator on a fresh host-DRAM queue pair, drained by a
+    polling loop (the engine's way; no interrupt handler needed)."""
+    qp = ssd.create_io_queue(qid, SQ_ADDR + ring_offset,
+                             CQ_ADDR + ring_offset, DEPTH,
+                             interrupt=interrupt)
+    nvme = NvmeInitiator(sim, qp, "host", PRP_LIST_ADDR + ring_offset,
+                         PAGE, HOST_NVME_POLICY, "test NVMe", owner="test")
+
+    def drain(sim):
+        while True:
+            cqe = qp.poll_completion()
+            if cqe is None:
+                yield sim.timeout(200)
+            else:
+                yield from nvme.retire(cqe, cqe)
+
+    sim.process(drain(sim))
+    return nvme
 
 
-def _read_cmd(qp, slba, nbytes, buf_addr, fabric, prp_list_addr=PRP_LIST_ADDR):
-    pages = prp_pages(buf_addr, nbytes)
-    prp1, prp2, blob = prp_fields(pages)
-    if blob:
-        fabric.poke(prp_list_addr, blob)
-        prp2 = prp_list_addr
-    return NvmeCommand(opcode=OP_READ, cid=qp.allocate_cid(), nsid=1,
-                       prp1=prp1, prp2=prp2, slba=slba,
-                       nlb=nbytes // LBA_SIZE - 1)
+def _io(nvme, command):
+    """Process: post one command and return its CQE."""
+    waiter = yield from nvme.post(command)
+    return (yield waiter)
+
+
+def _raw(nvme, opcode, slba=0, nlb=0, prp1=0):
+    """A hand-made command under the initiator's next cid."""
+    return NvmeCommand(opcode=opcode, cid=nvme.qp.allocate_cid(), nsid=1,
+                       prp1=prp1, prp2=0, slba=slba, nlb=nlb)
 
 
 class TestNvmeSsd:
     def test_read_4k(self, sim, fabric, ssd):
         ssd.flash.write_blocks(5, b"\xab" * LBA_SIZE)
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
-            cmd = _read_cmd(qp, 5, LBA_SIZE, DATA_ADDR, fabric)
-            yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
-            return cqe
+            cmd = nvme.prepare(OP_READ, 5, LBA_SIZE, DATA_ADDR)
+            return (yield from _io(nvme, cmd))
 
         cqe = sim.run(until=sim.process(body(sim)))
         assert cqe.ok
@@ -121,31 +134,25 @@ class TestNvmeSsd:
     def test_read_latency_in_device_range(self, sim, fabric, ssd):
         """A 4 KiB read should land in the ~11-25 us envelope."""
         ssd.flash.write_blocks(0, bytes(LBA_SIZE))
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
-            cmd = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
-            yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _io(nvme, nvme.prepare(OP_READ, 0, LBA_SIZE,
+                                              DATA_ADDR))
 
         sim.run(until=sim.process(body(sim)))
         assert usec(11) < sim.now < usec(25)
 
     def test_write_then_read_roundtrip(self, sim, fabric, ssd):
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
         payload = bytes(range(256)) * 16  # 4096 bytes
         fabric.poke(DATA_ADDR, payload)
 
         def body(sim):
-            wcmd = NvmeCommand(opcode=OP_WRITE, cid=qp.allocate_cid(), nsid=1,
-                               prp1=DATA_ADDR, prp2=0, slba=9, nlb=0)
-            yield from _submit(fabric, qp, wcmd)
-            yield from poller.wait(wcmd.cid)
-            rcmd = _read_cmd(qp, 9, LBA_SIZE, DATA_ADDR + 64 * KIB, fabric)
-            yield from _submit(fabric, qp, rcmd)
-            yield from poller.wait(rcmd.cid)
+            yield from _io(nvme, nvme.prepare(OP_WRITE, 9, LBA_SIZE,
+                                              DATA_ADDR))
+            yield from _io(nvme, nvme.prepare(OP_READ, 9, LBA_SIZE,
+                                              DATA_ADDR + 64 * KIB))
 
         sim.run(until=sim.process(body(sim)))
         assert fabric.peek(DATA_ADDR + 64 * KIB, LBA_SIZE) == payload
@@ -155,42 +162,32 @@ class TestNvmeSsd:
         size = 32 * KIB
         pattern = bytes(range(256)) * (size // 256)
         ssd.flash.write_blocks(100, pattern)
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
-            cmd = _read_cmd(qp, 100, size, DATA_ADDR, fabric)
+            cmd = nvme.prepare(OP_READ, 100, size, DATA_ADDR)
             assert cmd.prp2 == PRP_LIST_ADDR  # really took the list path
-            yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            assert unpack_prp_list(fabric.peek(PRP_LIST_ADDR, 7 * 8)) == [
+                DATA_ADDR + n * PAGE for n in range(1, 8)]
+            yield from _io(nvme, cmd)
 
         sim.run(until=sim.process(body(sim)))
         assert fabric.peek(DATA_ADDR, size) == pattern
 
     def test_flush_completes(self, sim, fabric, ssd):
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
-            cmd = NvmeCommand(opcode=OP_FLUSH, cid=qp.allocate_cid(), nsid=1,
-                              prp1=0, prp2=0, slba=0, nlb=0)
-            yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
-            return cqe
+            return (yield from _io(nvme, _raw(nvme, OP_FLUSH)))
 
         cqe = sim.run(until=sim.process(body(sim)))
         assert cqe.ok
 
     def test_invalid_opcode_fails_status(self, sim, fabric, ssd):
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
-            cmd = NvmeCommand(opcode=0x7F, cid=qp.allocate_cid(), nsid=1,
-                              prp1=DATA_ADDR, prp2=0, slba=0, nlb=0)
-            yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
-            return cqe
+            return (yield from _io(nvme, _raw(nvme, 0x7F, prp1=DATA_ADDR)))
 
         cqe = sim.run(until=sim.process(body(sim)))
         assert not cqe.ok
@@ -198,14 +195,12 @@ class TestNvmeSsd:
     def test_msi_on_interrupt_queue(self, sim, fabric, ssd):
         hits = []
         fabric.register_msi_handler("host", lambda src, vec: hits.append(vec))
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH, interrupt=True)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd, interrupt=True)
         ssd.flash.write_blocks(0, bytes(LBA_SIZE))
 
         def body(sim):
-            cmd = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
-            yield from _submit(fabric, qp, cmd)
-            yield from poller.wait(cmd.cid)
+            yield from _io(nvme, nvme.prepare(OP_READ, 0, LBA_SIZE,
+                                              DATA_ADDR))
 
         sim.run(until=sim.process(body(sim)))
         assert hits == [1]
@@ -225,16 +220,12 @@ class TestNvmeSsd:
             ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
 
     def test_oversized_transfer_fails_status(self, sim, fabric, ssd):
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
-        poller = CompletionPoller(sim, qp, "host")
+        nvme = _initiator(sim, ssd)
 
         def body(sim):
             nlb = (INTEL_750_400GB.max_transfer // LBA_SIZE) + 1
-            cmd = NvmeCommand(opcode=OP_READ, cid=qp.allocate_cid(), nsid=1,
-                              prp1=DATA_ADDR, prp2=0, slba=0, nlb=nlb)
-            yield from _submit(fabric, qp, cmd)
-            cqe = yield from poller.wait(cmd.cid)
-            return cqe
+            return (yield from _io(nvme, _raw(nvme, OP_READ, nlb=nlb,
+                                              prp1=DATA_ADDR)))
 
         cqe = sim.run(until=sim.process(body(sim)))
         assert not cqe.ok
@@ -242,34 +233,28 @@ class TestNvmeSsd:
     def test_pipelined_commands_overlap(self, sim, fabric, ssd):
         """Two queued reads should take less than 2x one read."""
         ssd.flash.write_blocks(0, bytes(2 * LBA_SIZE))
-        qp = ssd.create_io_queue(1, SQ_ADDR, CQ_ADDR, DEPTH)
+        nvme = _initiator(sim, ssd)
 
-        def one(sim, fabric, ssd):
-            q = ssd.create_io_queue(2, SQ_ADDR + 0x8000, CQ_ADDR + 0x8000,
-                                    DEPTH)
-            poller = CompletionPoller(sim, q, "host")
-            cmd = _read_cmd(q, 0, LBA_SIZE, DATA_ADDR, fabric)
-            yield from _submit(fabric, q, cmd)
-            yield from poller.wait(cmd.cid)
+        def one(sim, ssd):
+            other = _initiator(sim, ssd, qid=2, ring_offset=0x8000)
+            yield from _io(other, other.prepare(OP_READ, 0, LBA_SIZE,
+                                                DATA_ADDR))
             return sim.now
 
-        single = sim.process(one(sim, fabric, ssd))
+        single = sim.process(one(sim, ssd))
         single_time = sim.run(until=single)
 
-        def two(sim, fabric, ssd, qp):
-            poller = CompletionPoller(sim, qp, "host")
-            c1 = _read_cmd(qp, 0, LBA_SIZE, DATA_ADDR, fabric)
-            c2 = _read_cmd(qp, 1, LBA_SIZE, DATA_ADDR + PAGE, fabric,
-                           prp_list_addr=PRP_LIST_ADDR + PAGE)
+        def two(sim):
             start = sim.now
-            qp.push(c1)
-            qp.push(c2)
-            yield from qp.ring_sq("host")
-            yield from poller.wait(c1.cid)
-            yield from poller.wait(c2.cid)
+            c1 = nvme.prepare(OP_READ, 0, LBA_SIZE, DATA_ADDR)
+            c2 = nvme.prepare(OP_READ, 1, LBA_SIZE, DATA_ADDR + PAGE)
+            w1 = yield from nvme.post(c1)
+            w2 = yield from nvme.post(c2)
+            yield w1
+            yield w2
             return sim.now - start
 
-        pair_time = sim.run(until=sim.process(two(sim, fabric, ssd, qp)))
+        pair_time = sim.run(until=sim.process(two(sim)))
         assert pair_time < 2 * single_time
 
 

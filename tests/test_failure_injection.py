@@ -98,7 +98,7 @@ class TestNvmeProtocolViolations:
     def test_doorbell_out_of_range_rejected(self):
         tb = Testbed(seed=85)
         ssd = tb.node0.host.ssd
-        qp = tb.node0.host.nvme_driver.qp
+        qp = tb.node0.host.nvme_driver.nvme.qp
 
         def body(sim):
             yield from tb.node0.host.fabric.mmio_write(

@@ -15,8 +15,9 @@ import pytest
 from repro.apps.workload import pattern_bytes
 from repro.core.command import D2DKind, D2DStatus
 from repro.errors import ConfigurationError, DeviceError
-from repro.faults import (FaultPlan, FaultRule, RetryPolicy, active_faults,
-                          watchdog)
+from repro.experiments import faults as fault_sweep
+from repro.faults import (HOST_NVME_POLICY, FaultPlan, FaultRule,
+                          RetryPolicy, active_faults, watchdog)
 from repro.schemes import DcsCtrlScheme, SwOptScheme, Testbed
 from repro.trace import TraceSession, jsonl_lines
 from repro.units import KIB, usec
@@ -171,6 +172,25 @@ class TestTransientRecovery:
         assert host.nvme_driver.retries == 1
 
 
+    def test_permanent_flash_error_exhausts_retries_on_host_path(self):
+        tb = Testbed(seed=22, faults=_plan(
+            FaultRule("flash.read", occurrences={1}, permanent=True)))
+        host = tb.node0.host
+        buf = host.alloc_buffer(4 * KIB)
+
+        def body(sim):
+            yield from host.nvme_driver.read(0, 4 * KIB, buf)
+
+        proc = tb.sim.process(body(tb.sim))
+        tb.sim.run()
+        assert not proc.ok
+        with pytest.raises(DeviceError, match=r"NVMe I/O failed with status "
+                           r"2 \(opcode 2, slba 0, 4096 bytes\)"):
+            _ = proc.value
+        assert host.nvme_driver.retries == HOST_NVME_POLICY.retries
+        tb.assert_no_leaks()
+
+
 class TestLostCompletions:
     def test_dropped_cqe_hits_engine_watchdog(self):
         """The SSD executes the command but the CQE never lands: the
@@ -209,6 +229,60 @@ class TestLostCompletions:
         buf = tb.node0.host.alloc_buffer(4 * KIB)
         proc = _run_d2d(tb, D2DKind.SSD_TO_HOST, 0, buf, 4 * KIB)
         assert proc.triggered and not proc.ok
+        tb.assert_no_leaks()
+
+
+class TestMultiCommandRecovery:
+    """A lost completion in the middle of a multi-command transfer
+    re-issues only the lost command, and the bytes still arrive."""
+
+    def test_dropped_cqe_in_host_mdts_split(self):
+        tb = Testbed(seed=41, faults=_plan(
+            FaultRule("nvme.cqe_drop", occurrences={2})))
+        host = tb.node0.host
+        data = pattern_bytes(256 * KIB, 7, 3)
+        host.ssd.flash.write_blocks(0, data)
+        buf = host.alloc_buffer(len(data))
+
+        def body(sim):
+            yield from host.nvme_driver.read(0, len(data), buf)
+
+        proc = tb.sim.process(body(tb.sim))
+        tb.sim.run()
+        assert proc.ok
+        assert host.ssd.cqes_dropped == 1
+        assert host.nvme_driver.retries == 1
+        assert host.fabric.peek(buf, len(data)) == data
+        host.free_buffer(buf, len(data))
+        tb.assert_no_leaks()
+
+    def test_dropped_cqe_in_engine_block_commands(self):
+        tb = Testbed(seed=42, bulk_transfer=False, faults=_plan(
+            FaultRule("nvme.cqe_drop", occurrences={2})))
+        host = tb.node0.host
+        data = pattern_bytes(64 * KIB, 11, 5)
+        host.ssd.flash.write_blocks(0, data)
+        buf = host.alloc_buffer(len(data))
+        proc = _run_d2d(tb, D2DKind.SSD_TO_HOST, 0, buf, len(data))
+        assert proc.ok
+        assert host.ssd.cqes_dropped == 1
+        assert tb.node0.engine.nvme_ctrl.retries == 1
+        assert host.fabric.peek(buf, len(data)) == data
+        host.free_buffer(buf, len(data))
+        tb.assert_no_leaks()
+
+    def test_d2d_with_queue_pairs_in_host_dram(self):
+        """The engine path with its NVMe rings in host DRAM (the queue
+        placement ablation) moves the right bytes."""
+        tb = Testbed(seed=43, nvme_rings_in_host=True)
+        host = tb.node0.host
+        data = pattern_bytes(256 * KIB, 13, 1)
+        host.ssd.flash.write_blocks(0, data)
+        buf = host.alloc_buffer(len(data))
+        proc = _run_d2d(tb, D2DKind.SSD_TO_HOST, 0, buf, len(data))
+        assert proc.ok
+        assert host.fabric.peek(buf, len(data)) == data
+        host.free_buffer(buf, len(data))
         tb.assert_no_leaks()
 
 
@@ -319,6 +393,20 @@ class TestPcieTimeout:
         if not conn.offloaded:
             tb.node1.host.free_buffer(dst, len(data))
         tb.assert_no_leaks()
+
+
+class TestFaultSweep:
+    """The 20 % cell of the ``faults`` experiment drives the host retry
+    path (sw-opt) and the engine retry path (dcs-ctrl); pin its rows."""
+
+    @pytest.mark.parametrize("scheme_cls, p99_us", [
+        (SwOptScheme, 265.605), (DcsCtrlScheme, 145.585)])
+    def test_twenty_percent_cell(self, scheme_cls, p99_us):
+        cell = fault_sweep._run_cell(scheme_cls, 0.20)
+        p99 = fault_sweep._percentile(cell["latencies"], 0.99)
+        assert round(p99, 3) == p99_us
+        assert cell["errors"] == 0
+        assert cell["injected"] == 6
 
 
 class TestStatusNames:

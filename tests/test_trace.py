@@ -103,8 +103,13 @@ class TestSession:
         with TraceSession(label="outer") as session:
             with trace_section("inner"):
                 sim = Simulator()
+                with trace_section("nested"):
+                    nested = Simulator()
+                after = Simulator()
             sim2 = Simulator()
         assert sim.tracer.label.startswith("inner/")
+        assert nested.tracer.label == "inner/nested/sim1"
+        assert after.tracer.label == "inner/sim2"
         assert sim2.tracer.label.startswith("outer/")
         assert session is not installed(TraceSession)
 
