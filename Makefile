@@ -4,16 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench experiments faults-smoke trace-demo metrics-smoke \
+.PHONY: test experiments faults-smoke trace-demo metrics-smoke \
         docs-check lint perfbench-selftest clean
 
 test:            ## tier-1 suite (ROADMAP.md verify command)
 	$(PYTHON) -m pytest -x -q
 
-bench:           ## regenerate every table & figure with assertions
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-experiments:     ## print all reproduced tables/figures
+experiments:     ## print all reproduced tables/figures; exit 1 on a failed claim
 	$(PYTHON) -m repro.experiments
 
 faults-smoke:    ## fault-rate sweep across all four schemes (docs/faults.md)
@@ -37,7 +34,7 @@ docs-check:      ## catalogs <-> docs/{tracing,metrics,lint}.md lock-step check
 	    tests/test_lint_docs.py
 
 lint:            ## simlint: determinism/scheduling/plane-contract rules
-	$(PYTHON) -m repro.lint src tests examples benchmarks
+	$(PYTHON) -m repro.lint src tests examples
 
 perfbench-selftest: ## the benchmark's own self-tests (perfbench/README.md)
 	$(PYTHON) perfbench/selftest.py

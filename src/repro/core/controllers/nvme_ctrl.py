@@ -90,10 +90,18 @@ class EngineNvmeController(Executor):
         posted = []
         for chunk in chunks:
             posted.append((yield from self._issue(opcode, *chunk)))
+        # Every posted command is seen through (its watchdog armed, its
+        # waiter retired) before the first failure is raised.
+        failure = None
         for chunk, (command, waiter) in zip(chunks, posted):
-            yield from self.nvme.complete(
-                command, waiter, partial(self._issue, opcode, *chunk),
-                self._settle)
+            try:
+                yield from self.nvme.complete(
+                    command, waiter, partial(self._issue, opcode, *chunk),
+                    self._settle)
+            except DeviceError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return None
 
     def _issue(self, opcode: int, slba: int, nbytes: int, buf: int):

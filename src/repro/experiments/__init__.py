@@ -2,9 +2,11 @@
 
 Each runner builds fresh testbeds, executes the measurement, and
 returns an :class:`ExperimentResult` whose ``render()`` prints the
-paper-style rows and whose ``metrics`` carry the headline numbers the
-tests and EXPERIMENTS.md assert on.  ``run_fig13`` and ``run_headline``
-simulate nothing: they take the results they summarize as arguments.
+paper-style rows, whose ``metrics`` carry the headline numbers, and
+whose ``claims`` bound them by the paper's claims; ``python -m
+repro.experiments`` fails when a claim does not hold.  ``run_fig13``
+and ``run_headline`` simulate nothing: they take the results they
+summarize as arguments.
 """
 
 from repro.experiments.result import ExperimentResult
@@ -20,9 +22,11 @@ from repro.experiments.fig13_validate import run_fig13_validate
 from repro.experiments.sweep import run_sweep
 from repro.experiments.headline import run_headline
 from repro.experiments.faults import run_faults
+from repro.experiments.ablations import run_ablations
 
 __all__ = [
     "ExperimentResult",
+    "run_ablations",
     "run_faults",
     "run_fig11",
     "run_fig12_hdfs",

@@ -13,6 +13,10 @@ Usage::
                                                     # + metrics time series
                                                     #   and a sim-top report
 
+After printing, the command exits 1 if any paper claim of any
+experiment it ran (dependencies included) does not hold, naming each
+on stderr; a usage error exits 2.
+
 Trace output loads in https://ui.perfetto.dev (or chrome://tracing); the
 schema is documented in ``docs/tracing.md``.  Metrics output is a flat
 CSV (or JSONL with ``--metrics-jsonl``) documented in ``docs/metrics.md``;
@@ -27,7 +31,8 @@ import sys
 import time
 from contextlib import ExitStack
 
-from repro.experiments import (ExperimentResult, run_faults, run_fig11,
+from repro.experiments import (ExperimentResult, run_ablations,
+                               run_faults, run_fig11,
                                run_fig12_hdfs, run_fig12_swift, run_fig13,
                                run_fig13_validate, run_fig3, run_fig8,
                                run_headline, run_sweep, run_table1,
@@ -47,6 +52,7 @@ EXPERIMENTS = {
     "fig8": ("Fig 8", run_fig8, True, ()),
     "fig11": ("Fig 11", run_fig11, True, ()),
     "sweep": ("Size sweep", run_sweep, True, ()),
+    "ablations": ("Ablations", run_ablations, True, ()),
     "faults": ("Fault sweep", run_faults, False, ()),
     "fig12a": ("Fig 12a", run_fig12_swift, False, ()),
     "fig12b": ("Fig 12b", run_fig12_hdfs, False, ()),
@@ -162,7 +168,12 @@ def main(argv: list[str]) -> int:
             print(f"[metrics: {rows} samples -> {opts.metrics_jsonl}]")
         print()
         print(render_top(metrics, max_rows=40))
-    return 0
+    failed = [(slug, claim) for slug, result in results.items()
+              for claim in result.failed_claims()]
+    for slug, claim in failed:
+        print(f"claim failed: {slug}: {claim.name} = {claim.measured:.3f} "
+              f"(bound {claim.bound}, paper {claim.paper})", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -61,4 +61,10 @@ def run_fig11() -> ExperimentResult:
         / panel_b["sw-p2p"].latency_us)
     result.notes.append("paper: 42 % software-latency reduction without "
                         "NDP, 72 % with NDP (vs software-controlled P2P)")
+    for key, paper, lower, upper in (
+            ("fig11a_software_reduction", "42 %", 0.35, 0.70),
+            ("fig11b_software_reduction", "72 %", 0.55, 0.85),
+            ("fig11a_total_reduction", "lower total latency", 0.10, None),
+            ("fig11b_total_reduction", "much lower with NDP", 0.30, None)):
+        result.claim(key, paper, result.metrics[key], lower, upper)
     return result

@@ -51,4 +51,10 @@ def run_fig13(fig12a: ExperimentResult,
                         "delivers 1.95x (Swift) / 2.06x (HDFS) the "
                         "throughput of software-controlled P2P under the "
                         "core budget")
+    for key, paper, lower, upper in (
+            ("swift_dcs_cores_at_40g", "<= 3 cores", None, 3.5),
+            ("hdfs_dcs_cores_at_40g", "<= 3 cores", None, 6.0),
+            ("hdfs_throughput_ratio_dcs_vs_p2p", "2.06x", 1.5, None),
+            ("swift_throughput_ratio_dcs_vs_p2p", "1.95x", 1.0, None)):
+        result.claim(key, paper, metrics[key], lower, upper)
     return result

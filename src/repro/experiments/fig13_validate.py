@@ -51,4 +51,8 @@ def run_fig13_validate() -> ExperimentResult:
         "paper's projection: the software designs cannot serve 40 Gbps "
         "with one CPU; DCS-ctrl needs <= 3 cores and delivers ~2x the "
         "throughput under the core budget")
+    result.claim("throughput_ratio", "~2x", dcs_gbps / sw_gbps, lower=1.5)
+    result.claim("dcs_cores", "<= 3 cores", dcs_cores, upper=3.0)
+    result.claim("dcs_vs_sw_cores", "a fraction of the CPU",
+                 dcs_cores / sw_cores, upper=1.0)
     return result

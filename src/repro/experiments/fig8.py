@@ -94,4 +94,10 @@ def run_fig8() -> ExperimentResult:
     result.notes.append(
         "paper shape: DCS-ctrl's kernel CPU drops at least as much as "
         "the software-optimization approaches'")
+    result.claim("swopt_vs_linux", "SW-opt cuts kernel CPU",
+                 result.metrics["swopt_vs_linux"], upper=0.85)
+    result.claim("dcs_vs_swopt", "DCS-ctrl cuts at least as much",
+                 dcs_ns / swopt_ns, upper=1.0)
+    result.claim("dcs_vs_linux", "DCS-ctrl cuts most",
+                 result.metrics["dcs_vs_linux"], upper=0.35)
     return result

@@ -35,4 +35,9 @@ def run_table1() -> ExperimentResult:
     result.metrics["dcs_functions"] = len(DcsCtrlScheme.supported_processing)
     result.metrics["integrated_functions"] = len(
         IntegratedScheme.supported_processing)
+    result.claim("dcs_functions", "6 NDP units (Table III)",
+                 result.metrics["dcs_functions"], lower=6, upper=6)
+    result.claim("dcs_vs_integrated_functions", "flexible vs fixed",
+                 result.metrics["dcs_functions"]
+                 / result.metrics["integrated_functions"], lower=1)
     return result

@@ -28,4 +28,8 @@ def run_table3() -> ExperimentResult:
     result.metrics["avg_reg_pct"] = total_reg_frac / n * 100
     result.notes.append(
         "paper: on average 3.28 % slice LUTs and 1.02 % registers per unit")
+    result.claim("avg_lut_pct", "3.28 %", result.metrics["avg_lut_pct"],
+                 lower=3.13, upper=3.43)
+    result.claim("avg_reg_pct", "1.02 %", result.metrics["avg_reg_pct"],
+                 lower=0.92, upper=1.12)
     return result

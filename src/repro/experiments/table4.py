@@ -27,4 +27,9 @@ def run_table4() -> ExperimentResult:
     result.notes.append(
         "paper: 38 % LUTs, 15 % registers, 43 % BRAMs, 5.57 W; enough "
         "headroom remains for every NDP unit")
+    for key, paper in (("lut_pct", 38), ("reg_pct", 15), ("bram_pct", 43)):
+        result.claim(key, f"{paper} %", result.metrics[key],
+                     lower=paper - 1, upper=paper + 1)
+    result.claim("fits_all_ndp", "every NDP unit fits",
+                 result.metrics["fits_all_ndp"], lower=1.0, upper=1.0)
     return result

@@ -6,7 +6,7 @@ missing (``id()``-keyed dicts, stray wall-clock reads, uncataloged
 metric names).  This package turns each invariant into an AST-level
 rule and a CI gate::
 
-    python -m repro.lint src tests examples benchmarks   # exit 0 = clean
+    python -m repro.lint src tests examples   # exit 0 = clean
     python -m repro.lint --list-rules
 
 Three rule families: **DET** (determinism), **SIM** (event-loop

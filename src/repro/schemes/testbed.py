@@ -125,7 +125,8 @@ class Testbed:
 
     def assert_no_leaks(self) -> None:
         """Fail if buffers/slots did not return to their post-bring-up
-        levels, or if engine/driver bookkeeping still holds live work.
+        levels, or if engine/driver bookkeeping (scoreboard tasks, D2D
+        waiters, NVMe initiators' cid waiters) still holds live work.
 
         Call after ``sim.run()`` has drained — including runs where D2D
         commands failed, timed out or were aborted.
@@ -137,6 +138,14 @@ class Testbed:
                 problems.append(
                     f"{key}: {current[key]} != baseline {baseline}")
         for index, node in enumerate(self.nodes):
+            initiators = [driver.nvme for driver in node.host.nvme_drivers]
+            if node.engine is not None:
+                initiators += [ctrl.nvme for ctrl in node.engine.nvme_ctrls]
+            for nvme in initiators:
+                if not nvme.idle:
+                    problems.append(
+                        f"node{index}: {nvme.name} still waits on cids "
+                        f"{sorted(nvme._waiters)}")
             if node.engine is not None:
                 scoreboard = node.engine.scoreboard
                 if scoreboard._tasks:

@@ -80,6 +80,25 @@ class TestDependencies:
         assert labels == ["B/sim0"]
 
 
+class TestClaims:
+    def test_failed_claim_exits_1_and_is_named(self, monkeypatch, capsys):
+        def run_a():
+            result = ExperimentResult(name="table of A", headers=["x"])
+            result.add_row(1)
+            result.claim("speedup", "2x", 1.2, lower=1.5)
+            result.claim("cores", "<= 3", 2.0, upper=3.0)
+            return result
+
+        monkeypatch.setattr(cli, "EXPERIMENTS",
+                            {"A": ("A", run_a, True, ())})
+        assert main(["A"]) == 1
+        captured = capsys.readouterr()
+        assert "table of A" in captured.out
+        assert "FAIL" in captured.out
+        assert "claim failed: A: speedup" in captured.err
+        assert "cores" not in captured.err
+
+
 class TestFig13Projection:
     @staticmethod
     def _fig12(app, base):

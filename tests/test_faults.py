@@ -271,6 +271,25 @@ class TestMultiCommandRecovery:
         host.free_buffer(buf, len(data))
         tb.assert_no_leaks()
 
+    def test_failed_chunk_still_sees_later_chunks_through(self):
+        """A permanent error on the first block command must not orphan
+        a later command whose CQE is lost: its watchdog still fires,
+        its waiter is retired, and the polling FSM goes idle."""
+        tb = Testbed(seed=5, bulk_transfer=False, faults=_plan(
+            FaultRule("flash.read", occurrences={1}, permanent=True),
+            FaultRule("nvme.cqe_drop", occurrences={3})))
+        buf = tb.node0.host.alloc_buffer(64 * KIB)
+
+        def body(sim):
+            yield from tb.node0.driver.submit(D2DKind.SSD_TO_HOST, src=0,
+                                              dst=buf, length=64 * KIB)
+
+        proc = tb.sim.process(body(tb.sim))
+        tb.sim.run(until=usec(500_000))
+        assert tb.sim.peek() is None, "simulator did not drain"
+        assert proc.triggered and not proc.ok
+        tb.assert_no_leaks()
+
     def test_d2d_with_queue_pairs_in_host_dram(self):
         """The engine path with its NVMe rings in host DRAM (the queue
         placement ablation) moves the right bytes."""

@@ -204,8 +204,8 @@ class TestRegistry:
 
 
 class TestRepositoryIsClean:
-    def test_src_tests_examples_benchmarks_lint_clean(self):
-        roots = ("src", "tests", "examples", "benchmarks")
+    def test_src_tests_examples_lint_clean(self):
+        roots = ("src", "tests", "examples")
         findings = lint_paths([REPO_ROOT / root for root in roots],
                               relative_to=REPO_ROOT)
         assert not findings, (
